@@ -6,15 +6,13 @@
 //! * **instructions/sec** — `run_functional` of the pinned BERT-FFN
 //!   kernel (`3072x768x128`, the heaviest transformer shape; the e8
 //!   quantized row and the f32 `m2` row of the transformer campaign),
-//!   through the legacy stepwise oracle, the decoded engine, the
-//!   check-elided verified path with trace compilation disabled (the
-//!   static analyzer proves the kernel fault-free against the layout
-//!   contract, mints a [`Verified`] token, and the engine drops the
-//!   per-µop legality checks), the trace-compiled path (the fused
-//!   steady-state blocks run as native batched lane loops), and the
-//!   sharded counting engine. The acceptance bars: a ≥2× wall-clock
-//!   win for the decoded engine on the e8 row, and a ≥2× win for the
-//!   trace-compiled path over the untraced verified one.
+//!   through the legacy stepwise oracle, the decoded engine's per-µop
+//!   loop, and the trace-compiled path (the static analyzer proves the
+//!   kernel fault-free against the layout contract and mints a
+//!   [`Verified`] token; the fused steady-state blocks then run as
+//!   native batched lane loops). The acceptance bar: a ≥2× wall-clock
+//!   win for the decoded engine over the stepwise loop on the e8 row.
+//!   The trace speedup is reported over the per-µop loop.
 //! * **cells/sec** — a warm sweep: the same grid swept twice through
 //!   `indexmac::sweep::run_cells` on one thread, so the second pass
 //!   runs entirely against the decode-once `ProgramCache` and the
@@ -50,10 +48,7 @@ struct Row {
     analyze_ms: f64,
     legacy_ns: f64,
     decoded_ns: f64,
-    verified_ns: f64,
     traced_ns: f64,
-    sharded_ns: f64,
-    shards: usize,
     fused_runs: usize,
     fused_uops: usize,
     traces: usize,
@@ -66,14 +61,9 @@ impl Row {
         self.legacy_ns / self.decoded_ns
     }
 
-    fn verified_speedup(&self) -> f64 {
-        self.legacy_ns / self.verified_ns
-    }
-
-    /// The tentpole metric: trace-compiled vs the untraced verified
-    /// path (the previous fastest engine configuration).
+    /// Trace-compiled path vs the per-µop loop it falls back to.
     fn trace_speedup(&self) -> f64 {
-        self.verified_ns / self.traced_ns
+        self.decoded_ns / self.traced_ns
     }
 
     fn fused_coverage(&self) -> f64 {
@@ -104,10 +94,7 @@ impl Row {
             ("analyze_ms", self.analyze_ms.to_value()),
             ("legacy_run_ns", self.legacy_ns.to_value()),
             ("decoded_run_ns", self.decoded_ns.to_value()),
-            ("verified_run_ns", self.verified_ns.to_value()),
             ("traced_run_ns", self.traced_ns.to_value()),
-            ("sharded_run_ns", self.sharded_ns.to_value()),
-            ("shards", self.shards.to_value()),
             ("fused_runs", self.fused_runs.to_value()),
             ("fused_uops", self.fused_uops.to_value()),
             ("fused_coverage", self.fused_coverage().to_value()),
@@ -123,17 +110,12 @@ impl Row {
                 self.ips(self.decoded_ns).to_value(),
             ),
             (
-                "verified_instructions_per_sec",
-                self.ips(self.verified_ns).to_value(),
-            ),
-            (
                 "traced_instructions_per_sec",
                 self.ips(self.traced_ns).to_value(),
             ),
             ("speedup", self.speedup().to_value()),
-            ("verified_speedup", self.verified_speedup().to_value()),
             (
-                "trace_speedup_over_verified",
+                "trace_speedup_over_decoded",
                 self.trace_speedup().to_value(),
             ),
         ])
@@ -141,7 +123,7 @@ impl Row {
 }
 
 /// Builds the pinned-shape `vindexmac.vvi` kernel at one precision and
-/// measures `run_functional` through both execution paths.
+/// measures `run_functional` through each execution path.
 fn measure_row(
     label: &'static str,
     precision: Precision,
@@ -197,12 +179,7 @@ fn measure_row(
         .run_functional_decoded(&decoded)
         .expect("pinned kernel executes");
 
-    // The shard size for the sharded counting run: large enough that
-    // per-shard overheads (memory clone, checkpoint) amortize, small
-    // enough that capped (smoke) runs still split.
-    let shard_size = (instructions / 8).max(10_000);
-
-    // The five paths are interleaved within each iteration (rather
+    // The three paths are interleaved within each iteration (rather
     // than measured in back-to-back blocks) so slow drift of the
     // host — CPU frequency, steal time — lands on all of them equally.
     // Each path reports its *minimum* over the iterations: on a shared
@@ -211,10 +188,7 @@ fn measure_row(
     // spike in one path skew every ratio).
     let mut legacy_s = f64::INFINITY;
     let mut decoded_s = f64::INFINITY;
-    let mut verified_s = f64::INFINITY;
     let mut traced_s = f64::INFINITY;
-    let mut sharded_s = f64::INFINITY;
-    let mut shards = 0usize;
     for _ in 0..iters {
         let t = Instant::now();
         sim.run_stepwise(&program, &mut NullObserver)
@@ -225,25 +199,13 @@ fn measure_row(
             .expect("decoded engine executes");
         decoded_s = decoded_s.min(t.elapsed().as_secs_f64());
         let t = Instant::now();
-        sim.run_functional_verified_untraced(&decoded, token)
-            .expect("verified engine executes");
-        verified_s = verified_s.min(t.elapsed().as_secs_f64());
-        let t = Instant::now();
         sim.run_functional_verified(&decoded, token)
             .expect("traced engine executes");
         traced_s = traced_s.min(t.elapsed().as_secs_f64());
-        let t = Instant::now();
-        let sharded = sim
-            .run_sharded(&decoded, Some(token), shard_size)
-            .expect("sharded engine executes");
-        sharded_s = sharded_s.min(t.elapsed().as_secs_f64());
-        shards = sharded.shards;
     }
     let legacy_ns = legacy_s * 1e9;
     let decoded_ns = decoded_s * 1e9;
-    let verified_ns = verified_s * 1e9;
     let traced_ns = traced_s * 1e9;
-    let sharded_ns = sharded_s * 1e9;
 
     Row {
         label,
@@ -255,10 +217,7 @@ fn measure_row(
         analyze_ms,
         legacy_ns,
         decoded_ns,
-        verified_ns,
         traced_ns,
-        sharded_ns,
-        shards,
         fused_runs: decoded.fused_runs(),
         fused_uops: decoded.fused_uops(),
         traces: decoded.trace_segments(),
@@ -332,16 +291,14 @@ fn main() {
         measure_row("bert-ffn-f32-m2", Precision::F32, 2, dims, iters),
     ];
     println!(
-        "{:<18} {:>4} {:>4} {:>12} {:>11} {:>11} {:>11} {:>11} {:>11} {:>8} {:>8} {:>8} {:>12}",
+        "{:<18} {:>4} {:>4} {:>12} {:>11} {:>11} {:>11} {:>8} {:>8} {:>8} {:>12}",
         "row",
         "sew",
         "lmul",
         "dyn instrs",
         "legacy ms",
         "decoded ms",
-        "verified ms",
         "traced ms",
-        "sharded ms",
         "speedup",
         "trace",
         "coverage",
@@ -349,16 +306,14 @@ fn main() {
     );
     for r in &rows {
         println!(
-            "{:<18} {:>4} {:>4} {:>12} {:>11.2} {:>11.2} {:>11.2} {:>11.2} {:>11.2} {:>7.2}x {:>7.2}x {:>7.1}% {:>12.1}",
+            "{:<18} {:>4} {:>4} {:>12} {:>11.2} {:>11.2} {:>11.2} {:>7.2}x {:>7.2}x {:>7.1}% {:>12.1}",
             r.label,
             format!("e{}", r.sew_bits),
             format!("m{}", r.lmul),
             r.instructions,
             r.legacy_ns / 1e6,
             r.decoded_ns / 1e6,
-            r.verified_ns / 1e6,
             r.traced_ns / 1e6,
-            r.sharded_ns / 1e6,
             r.speedup(),
             r.trace_speedup(),
             r.trace_coverage() * 100.0,
@@ -388,10 +343,7 @@ fn main() {
         "expected: the decoded engine runs the functional BERT-FFN kernel >= 2x faster than \
          the stepwise loop (events never materialise under NullObserver, per-step re-decode \
          and re-validation are gone, vector ops run on whole register-group slices); the \
-         verified path (analyzer-minted token, per-µop legality checks elided) is at least \
-         as fast again; the trace-compiled path (fused steady-state blocks executed as \
-         native batched lane loops) is >= 2x faster than the untraced verified path; the \
-         sharded counting engine pays the checkpoint/replay overhead back on multi-core \
-         hosts (single-core numbers are recorded as-is)"
+         trace-compiled path (analyzer-minted token, fused steady-state blocks executed as \
+         native batched lane loops) is faster again than the per-µop loop"
     );
 }

@@ -5,7 +5,7 @@ use indexmac_kernels::{
 };
 use indexmac_models::{GemmCaps, Model, ModelLayer};
 use indexmac_sparse::{prune, quant, DenseMatrix, NmPattern, StructuredSparseMatrix};
-use indexmac_vpu::{DecodedProgram, RunReport, SimConfig, Simulator, Verified};
+use indexmac_vpu::{DecodedProgram, RunReport, SimConfig, Simulator};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::error::Error;
@@ -99,13 +99,6 @@ pub struct ExperimentConfig {
     /// ([`Algorithm::IndexMac`] by default; set
     /// [`Algorithm::IndexMac2`] to reproduce the follow-up numbers).
     pub proposed: Algorithm,
-    /// When `Some(n)`, every timed kernel run is re-executed through the
-    /// sharded counting engine ([`Simulator::run_sharded`]) with shard
-    /// size `n` and refereed against the timed report: instruction
-    /// counts, per-class counts, program-issued traffic and the result
-    /// matrix must match bit-for-bit. `None` (the default) skips the
-    /// cross-check. Tunable from the CLI via `--shard-size`.
-    pub shard_size: Option<u64>,
 }
 
 impl ExperimentConfig {
@@ -123,7 +116,6 @@ impl ExperimentConfig {
             verify: true,
             baseline: Algorithm::RowWiseSpmm,
             proposed: Algorithm::IndexMac,
-            shard_size: None,
         }
     }
 
@@ -339,20 +331,10 @@ impl fmt::Display for DecodeCacheStats {
 /// one block geometry across layers; both now decode each distinct
 /// kernel exactly once per worker thread.
 struct ProgramCache {
-    entries: VecDeque<(Algorithm, GemmLayout, KernelParams, CachedKernel)>,
+    entries: VecDeque<(Algorithm, GemmLayout, KernelParams, Rc<DecodedProgram>)>,
     resident_uops: usize,
     max_uops: usize,
     stats: DecodeCacheStats,
-}
-
-/// A cached predecoded kernel together with its static-analysis token.
-/// Shipped builders always analyze clean, so `token` is `Some` in
-/// practice and runs take the check-elided fast path; `None` falls
-/// back to the fully checked engine.
-#[derive(Clone)]
-struct CachedKernel {
-    program: Rc<DecodedProgram>,
-    token: Option<Verified>,
 }
 
 /// Bound on the total static instructions the cache may keep resident
@@ -381,7 +363,7 @@ impl ProgramCache {
         algorithm: Algorithm,
         layout: &GemmLayout,
         params: &KernelParams,
-    ) -> Result<CachedKernel, ExperimentError> {
+    ) -> Result<Rc<DecodedProgram>, ExperimentError> {
         if let Some((.., cached)) = self
             .entries
             .iter()
@@ -395,30 +377,30 @@ impl ProgramCache {
         let program = Rc::new(DecodedProgram::decode(&build_kernel(
             algorithm, layout, params,
         )?));
-        // Analyze once at build time, alongside the one-time decode:
-        // every subsequent run of this cached kernel executes with the
-        // per-µop fault checks elided.
-        let vlen_bits = layout.vl * layout.elem.bits();
-        let token = indexmac_vpu::analyze_with_contract(
-            &program,
-            vlen_bits,
-            Some(&layout.analysis_contract()),
-        )
-        .verified();
-        debug_assert!(token.is_some(), "shipped kernels must analyze clean");
-        let cached = CachedKernel { program, token };
-        self.resident_uops += cached.program.len();
+        // Shipped builders always analyze clean; debug builds check it
+        // once per build, alongside the one-time decode.
+        debug_assert!(
+            indexmac_vpu::analyze_with_contract(
+                &program,
+                layout.vl * layout.elem.bits(),
+                Some(&layout.analysis_contract()),
+            )
+            .verified()
+            .is_some(),
+            "shipped kernels must analyze clean"
+        );
+        self.resident_uops += program.len();
         self.entries
-            .push_back((algorithm, layout.clone(), *params, cached.clone()));
+            .push_back((algorithm, layout.clone(), *params, Rc::clone(&program)));
         // FIFO eviction down to the µop budget (never evicting the
         // entry just inserted).
         while self.resident_uops > self.max_uops && self.entries.len() > 1 {
             let (.., evicted) = self.entries.pop_front().expect("len > 1");
-            self.resident_uops -= evicted.program.len();
+            self.resident_uops -= evicted.len();
             self.stats.evictions += 1;
         }
         self.stats.entries = self.entries.len();
-        Ok(cached)
+        Ok(program)
     }
 }
 
@@ -488,14 +470,9 @@ pub fn run_gemm(
     let (layout, params) = plan_kernel(algorithm, &a, capped.cols, cfg)?;
     let run = EXEC_CTX.with(|ctx| {
         let ctx = &mut *ctx.borrow_mut();
-        let kernel = ctx.cache.get_or_build(algorithm, &layout, &params)?;
+        let program = ctx.cache.get_or_build(algorithm, &layout, &params)?;
         let sim = ctx.simulator(&cfg.sim, cfg.max_instructions);
-        let run = match kernel.token {
-            Some(token) => {
-                verify::run_decoded_kernel_verified(sim, &kernel.program, token, &a, &b, &layout)?
-            }
-            None => verify::run_decoded_kernel(sim, &kernel.program, &a, &b, &layout)?,
-        };
+        let run = verify::run_decoded_kernel(sim, &program, &a, &b, &layout)?;
         if cfg.verify && algorithm != Algorithm::Dense {
             if layout.elem.is_int() {
                 verify::check_int_exact(&run, &a, &b)?;
@@ -506,74 +483,6 @@ pub fn run_gemm(
                     &b,
                     verify::default_tolerance(layout.dims.inner),
                 )?;
-            }
-        }
-        if let Some(shard_size) = cfg.shard_size {
-            // Differential referee: replay the run through the sharded
-            // counting engine and demand bit-identical architectural
-            // results and event counts. Sequential metrics (cycles,
-            // stalls, hit rates, DRAM lines) are zero on the counting
-            // side and deliberately not compared.
-            let (sharded, _shards) = verify::run_decoded_kernel_sharded(
-                sim,
-                &kernel.program,
-                kernel.token,
-                &a,
-                &b,
-                &layout,
-                shard_size,
-            )?;
-            assert_eq!(
-                sharded.report.instructions, run.report.instructions,
-                "sharded replay retired a different instruction count"
-            );
-            assert_eq!(
-                sharded.report.counts, run.report.counts,
-                "sharded replay produced different per-class counts"
-            );
-            assert_eq!(
-                sharded.report.v2s_syncs, run.report.v2s_syncs,
-                "sharded replay produced different v2s sync counts"
-            );
-            for (name, got, want) in [
-                (
-                    "scalar_loads",
-                    sharded.report.mem.scalar_loads,
-                    run.report.mem.scalar_loads,
-                ),
-                (
-                    "scalar_stores",
-                    sharded.report.mem.scalar_stores,
-                    run.report.mem.scalar_stores,
-                ),
-                (
-                    "vector_loads",
-                    sharded.report.mem.vector_loads,
-                    run.report.mem.vector_loads,
-                ),
-                (
-                    "vector_stores",
-                    sharded.report.mem.vector_stores,
-                    run.report.mem.vector_stores,
-                ),
-            ] {
-                assert_eq!(got, want, "sharded replay diverged on {name}");
-            }
-            assert_eq!(
-                sharded.c.as_slice(),
-                run.c.as_slice(),
-                "sharded replay computed a different product"
-            );
-            assert_eq!(
-                sharded.c_int.is_some(),
-                run.c_int.is_some(),
-                "sharded replay disagreed on precision"
-            );
-            if let (Some(si), Some(ri)) = (&sharded.c_int, &run.c_int) {
-                assert!(
-                    si.first_mismatch(ri).is_none(),
-                    "sharded replay computed a different integer product"
-                );
             }
         }
         Ok::<_, ExperimentError>(run)
@@ -603,7 +512,7 @@ pub struct LintResult {
     pub lmul: usize,
     /// Static program length in instructions.
     pub static_instructions: usize,
-    /// Whether the analysis minted a check-elision token (zero errors).
+    /// Whether the analysis minted a `Verified` token (zero errors).
     pub verified: bool,
     /// Every finding, ordered by pc.
     pub diagnostics: Vec<indexmac_vpu::Diagnostic>,
@@ -1279,7 +1188,7 @@ mod tests {
         assert_eq!((cache.stats.misses, cache.stats.evictions), (1, 0));
         // Budget = exactly the first entry: every later insertion must
         // evict the oldest resident entry, oldest-first.
-        cache.max_uops = first.program.len();
+        cache.max_uops = first.len();
         for (layout, params) in &keys[1..] {
             cache
                 .get_or_build(Algorithm::IndexMac2, layout, params)
@@ -1298,7 +1207,7 @@ mod tests {
             .get_or_build(Algorithm::IndexMac2, &keys[0].0, &keys[0].1)
             .unwrap();
         assert_eq!((cache.stats.hits, cache.stats.evictions), (1, 3));
-        let resident: usize = cache.entries.iter().map(|(.., k)| k.program.len()).sum();
+        let resident: usize = cache.entries.iter().map(|(.., k)| k.len()).sum();
         assert_eq!(cache.resident_uops, resident, "accounting stays exact");
         // The entry just inserted is never evicted, even over budget.
         cache.max_uops = 0;
@@ -1307,35 +1216,5 @@ mod tests {
             .unwrap();
         assert_eq!(cache.stats.entries, 1, "in-flight entry must survive");
         assert_eq!(cache.entries.len(), 1);
-    }
-
-    #[test]
-    fn shard_size_cross_check_referees_the_timed_run() {
-        // `shard_size: Some(n)` reruns every kernel through the sharded
-        // counting engine and panics on any divergence from the timed
-        // run; passing here means the referee agreed. The returned
-        // (timed) report must be byte-identical to an uncross-checked
-        // run.
-        let dims = GemmDims {
-            rows: 8,
-            inner: 64,
-            cols: 32,
-        };
-        let base = run_gemm(dims, NmPattern::P1_4, Algorithm::IndexMac2, &cfg()).unwrap();
-        for shard_size in [500u64, 100_000] {
-            let sharded_cfg = ExperimentConfig {
-                shard_size: Some(shard_size),
-                ..cfg()
-            };
-            let r = run_gemm(dims, NmPattern::P1_4, Algorithm::IndexMac2, &sharded_cfg).unwrap();
-            assert_eq!(r.report, base.report, "shard size {shard_size}");
-        }
-        // The quantized (check-elided, i32) datapath referees too.
-        let q = ExperimentConfig {
-            shard_size: Some(999),
-            caps: indexmac_models::GemmCaps::smoke(),
-            ..ExperimentConfig::quantized(Precision::I8)
-        };
-        run_gemm(dims, NmPattern::P1_4, Algorithm::IndexMac2, &q).unwrap();
     }
 }

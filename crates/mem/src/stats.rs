@@ -37,18 +37,6 @@ impl MemStats {
     pub fn dram_lines(&self) -> u64 {
         self.dram_reads + self.dram_writes
     }
-
-    /// Element-wise sum with another counter set.
-    pub fn merged(&self, other: &MemStats) -> MemStats {
-        MemStats {
-            scalar_loads: self.scalar_loads + other.scalar_loads,
-            scalar_stores: self.scalar_stores + other.scalar_stores,
-            vector_loads: self.vector_loads + other.vector_loads,
-            vector_stores: self.vector_stores + other.vector_stores,
-            dram_reads: self.dram_reads + other.dram_reads,
-            dram_writes: self.dram_writes + other.dram_writes,
-        }
-    }
 }
 
 impl std::fmt::Display for MemStats {
@@ -83,24 +71,6 @@ mod tests {
         assert_eq!(s.total_accesses(), 20);
         assert_eq!(s.vector_accesses(), 15);
         assert_eq!(s.dram_lines(), 8);
-    }
-
-    #[test]
-    fn merge_adds_fields() {
-        let a = MemStats {
-            scalar_loads: 1,
-            vector_loads: 2,
-            ..Default::default()
-        };
-        let b = MemStats {
-            scalar_loads: 10,
-            dram_writes: 4,
-            ..Default::default()
-        };
-        let m = a.merged(&b);
-        assert_eq!(m.scalar_loads, 11);
-        assert_eq!(m.vector_loads, 2);
-        assert_eq!(m.dram_writes, 4);
     }
 
     #[test]

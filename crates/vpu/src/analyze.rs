@@ -15,8 +15,8 @@
 //! The result is a [`Vec<Diagnostic>`] (severity, confidence, pc, rule
 //! id, fix hint). A program with **zero error-class diagnostics** earns
 //! a [`Verified`] token, which [`crate::engine::DecodedProgram::execute_verified`]
-//! trades for a check-elided hot loop — the stepwise oracle still pins
-//! bit-identical results in differential tests.
+//! trades for entry to the trace-compiled fast paths — the stepwise
+//! oracle still pins bit-identical results in differential tests.
 //!
 //! # Soundness
 //!
@@ -295,7 +295,8 @@ pub struct AnalysisContract {
 /// Proof that a specific program (by length) analyzed with zero
 /// error-class diagnostics at a specific VLEN. Only this module can
 /// mint one; [`crate::engine::DecodedProgram::execute_verified`]
-/// accepts it in exchange for eliding the per-µop fault checks.
+/// accepts it as permission to enter the trace-compiled fast paths
+/// under an observer that wants no events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Verified {
     program_len: usize,
@@ -346,7 +347,7 @@ impl Analysis {
         self.diagnostics.len() - self.error_count()
     }
 
-    /// The check-elision token, minted only for clean programs.
+    /// The [`Verified`] token, minted only for clean programs.
     pub fn verified(&self) -> Option<Verified> {
         if self.is_clean() {
             Some(Verified {

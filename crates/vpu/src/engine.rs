@@ -83,18 +83,6 @@ impl<F: FnMut(&ExecEvent)> Observer for F {
     }
 }
 
-/// Why a bounded range execution (the sharded executor's primitive)
-/// stopped without a fault.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RangeExit {
-    /// The program executed `ebreak`.
-    Halted,
-    /// The instruction budget ran out with the program still running —
-    /// an error for a whole-program run, a checkpoint boundary for the
-    /// sharded executor.
-    Budget,
-}
-
 /// Per-SEW constants used by the vector µops, precomputed once instead
 /// of re-derived per dynamic instruction: element bytes, the modular
 /// lane mask, and the widening accumulator factor (`32 / SEW`).
@@ -450,9 +438,9 @@ fn find_fused_runs(uops: &[Uop]) -> (Box<[FusedRun]>, Box<[u32]>) {
 const MIN_TRACE_UOPS: usize = 6;
 
 /// Longest region one trace may cover. A bound keeps trace *starts*
-/// dense in the µop stream, so an execution resumed at an arbitrary
-/// slot (a shard boundary lands wherever the budget ran out) falls back
-/// to per-µop dispatch for at most this many µops before re-entering
+/// dense in the µop stream, so an execution that leaves a trace early
+/// (a fused run stopping on a data-dependent condition) falls back to
+/// per-µop dispatch for at most this many µops before re-entering
 /// compiled code.
 const MAX_TRACE_UOPS: usize = 4096;
 
@@ -462,7 +450,7 @@ const MAX_TRACE_UOPS: usize = 4096;
 /// effect is identical to the µop(s) it covers, which is what lets
 /// [`DecodedProgram::run_trace`] stop between any two ops — on budget
 /// exhaustion or a fused run stopping early — and hand the µop-exact
-/// resume point back to the interpreter.
+/// continuation point back to the interpreter.
 #[derive(Debug, Clone, Copy)]
 enum TraceOp {
     Li {
@@ -1132,37 +1120,33 @@ impl DecodedProgram {
         obs: &mut O,
         max_instructions: u64,
     ) -> Result<u64, SimError> {
-        self.execute_impl::<O, true, false>(state, mem, obs, max_instructions)
+        self.run::<O, false>(state, mem, obs, max_instructions)
     }
 
-    /// Runs the program with the statically-provable fault checks
-    /// compiled out: element-width agreement, alignment, grouping
-    /// support, widening-destination legality, slot ranges and branch
-    /// ranges are elided, because the [`Verified`] token witnesses that
-    /// [`crate::analyze`] proved them for every reachable slot. The
-    /// *data-dependent* indirect-source group check of the IndexMAC
-    /// µops is retained (its operand comes from memory), as are the
-    /// fetch bound ([`SimError::FellOffEnd`]) and the instruction
-    /// limit, so results stay bit-identical to [`DecodedProgram::execute`]
-    /// on any program the analyzer accepts.
+    /// [`DecodedProgram::execute`] with permission to enter the
+    /// trace-compiled fast paths. The [`Verified`] token witnesses that
+    /// [`crate::analyze`] proved every reachable slot free of static
+    /// faults (element width, alignment, grouping, slot and branch
+    /// ranges), which is what lets a compiled trace retire its ops —
+    /// coalesced bursts in particular — without per-op checks.
     ///
     /// `token` must come from analyzing **this** program at the same
     /// VLEN (debug builds assert both).
     ///
-    /// When the observer wants no events (the functional
-    /// [`NullObserver`] path), execution additionally enters the
-    /// trace-compiled fast path: fused steady-state runs (see
-    /// [`DecodedProgram::fused_runs`]) retire as batched lane loops.
-    /// The fused executor validates every dynamic condition the per-µop
-    /// path would check just-in-time, stopping at the exact µop where
-    /// one fails and handing that µop to the per-µop loop, so results
-    /// — state, retired counts, faults — stay bit-identical.
-    /// Use [`DecodedProgram::execute_verified_untraced`] to measure the
-    /// pre-trace-compiler verified loop.
+    /// The fast paths run only when the observer wants no events (the
+    /// functional [`NullObserver`] path): fused steady-state runs (see
+    /// [`DecodedProgram::fused_runs`]) retire as batched lane loops and
+    /// straight-line regions as compiled traces. The fused executor
+    /// validates every dynamic condition the per-µop path would check
+    /// just-in-time, stopping at the exact µop where one fails and
+    /// handing that µop to the per-µop loop, so results — state,
+    /// retired counts, faults — stay bit-identical. Under an observer
+    /// that wants events the token is inert and this is
+    /// [`DecodedProgram::execute`].
     ///
     /// # Errors
     ///
-    /// The retained conditions above; see [`DecodedProgram::execute`].
+    /// See [`DecodedProgram::execute`].
     pub fn execute_verified<O: Observer>(
         &self,
         state: &mut ArchState,
@@ -1171,32 +1155,6 @@ impl DecodedProgram {
         max_instructions: u64,
         token: Verified,
     ) -> Result<u64, SimError> {
-        self.assert_token(state, token);
-        self.execute_impl::<O, false, true>(state, mem, obs, max_instructions)
-    }
-
-    /// [`DecodedProgram::execute_verified`] with the trace compiler
-    /// disabled: the plain check-elided µop loop, kept as the
-    /// measurement baseline the fused path is compared against
-    /// (`crates/bench/benches/engine_throughput.rs`).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`DecodedProgram::execute_verified`].
-    pub fn execute_verified_untraced<O: Observer>(
-        &self,
-        state: &mut ArchState,
-        mem: &mut MainMemory,
-        obs: &mut O,
-        max_instructions: u64,
-        token: Verified,
-    ) -> Result<u64, SimError> {
-        self.assert_token(state, token);
-        self.execute_impl::<O, false, false>(state, mem, obs, max_instructions)
-    }
-
-    #[inline]
-    fn assert_token(&self, state: &ArchState, token: Verified) {
         debug_assert_eq!(
             token.program_len(),
             self.len(),
@@ -1207,126 +1165,82 @@ impl DecodedProgram {
             state.vlen_bits(),
             "Verified token minted for a different VLEN"
         );
-        let _ = (state, token);
+        self.run::<O, true>(state, mem, obs, max_instructions)
     }
 
-    fn execute_impl<O: Observer, const CHECKED: bool, const TRACED: bool>(
+    /// The fetch loop behind both entry points: runs from slot 0 for at
+    /// most `limit` dynamic instructions. With `TRACED` and an observer
+    /// that wants no events, compiled traces and fused runs retire in
+    /// bulk; both stop µop-exactly at the limit, so the retired count
+    /// and the [`SimError::InstructionLimit`] fault land on the same
+    /// instruction as on the per-µop loop.
+    ///
+    /// Retirement semantics match the stepwise loop bit-for-bit: at
+    /// least one instruction executes (even at `limit == 0`, like the
+    /// oracle, which checks its limit only *after* executing), and a
+    /// program that halts exactly on the limit succeeds.
+    fn run<O: Observer, const TRACED: bool>(
         &self,
         state: &mut ArchState,
         mem: &mut MainMemory,
         obs: &mut O,
-        max_instructions: u64,
+        limit: u64,
     ) -> Result<u64, SimError> {
         state.pc = 0;
         state.halted = false;
-        match self.run_range::<O, CHECKED, TRACED>(state, mem, obs, max_instructions)? {
-            (instret, RangeExit::Halted) => Ok(instret),
-            (_, RangeExit::Budget) => Err(SimError::InstructionLimit {
-                limit: max_instructions,
-            }),
-        }
-    }
-
-    /// Resumable execution core: runs from the **current** `state.pc`
-    /// (no reset) for at most `budget` dynamic instructions, returning
-    /// the retired count and why execution stopped. This is the
-    /// primitive both the whole-program entry points and the sharded
-    /// executor ([`crate::shard`]) are built on; shard boundaries are
-    /// exactly the [`RangeExit::Budget`] exits.
-    ///
-    /// Retirement semantics match the legacy loop bit-for-bit: at least
-    /// one instruction executes per call (even at `budget == 0`, like
-    /// the legacy loop, which checked its limit only *after* executing),
-    /// and a program that halts exactly on the budget boundary counts as
-    /// [`RangeExit::Halted`].
-    pub(crate) fn run_range<O: Observer, const CHECKED: bool, const TRACED: bool>(
-        &self,
-        state: &mut ArchState,
-        mem: &mut MainMemory,
-        obs: &mut O,
-        budget: u64,
-    ) -> Result<(u64, RangeExit), SimError> {
         let mut instret: u64 = 0;
         while !state.halted {
             let pc = state.pc;
             let Some(uop) = self.uops.get(pc) else {
                 return Err(SimError::FellOffEnd { pc });
             };
-            // The compiled fast paths are sound only where the per-µop
-            // checks were statically elided (`!CHECKED`, i.e. under a
-            // `Verified` token) and no observer needs per-µop events —
+            // The compiled fast paths need the token's static guarantees
+            // (`TRACED`) and an observer that needs no per-µop events —
             // both decided at compile time, so the checked and timed
             // monomorphizations carry no trace-compiler code at all.
-            if TRACED && !CHECKED && !O::WANTS_EVENTS {
+            if TRACED && !O::WANTS_EVENTS {
                 let entry = self.trace_at[pc];
                 if entry != 0 {
                     let trace = &self.traces[entry as usize - 1];
-                    let n = self.run_trace(trace, state, mem, budget - instret)?;
+                    let n = self.run_trace(trace, state, mem, limit - instret)?;
                     if n > 0 {
                         instret += n;
-                        if instret >= budget && !state.halted {
-                            return Ok((instret, RangeExit::Budget));
+                        if instret >= limit && !state.halted {
+                            return Err(SimError::InstructionLimit { limit });
                         }
                         continue;
                     }
                 }
-                // No trace starts here (e.g. a shard resumed mid-trace),
-                // but a fused slot loop might.
+                // No trace starts here (a trace stopped early, or a
+                // branch landed inside one), but a fused slot loop might.
                 let entry = self.fused_at[pc];
                 if entry != 0 {
                     let run = &self.fused[entry as usize - 1];
-                    let n = self.try_fused(run, state, budget - instret);
+                    let n = self.try_fused(run, state, limit - instret);
                     if n > 0 {
                         instret += n;
-                        if instret >= budget && !state.halted {
-                            return Ok((instret, RangeExit::Budget));
+                        if instret >= limit && !state.halted {
+                            return Err(SimError::InstructionLimit { limit });
                         }
                         continue;
                     }
                 }
             }
-            self.exec_uop::<O, CHECKED>(state, mem, obs, pc, uop)?;
+            self.exec_uop(state, mem, obs, pc, uop)?;
             instret += 1;
-            if instret >= budget && !state.halted {
-                return Ok((instret, RangeExit::Budget));
+            if instret >= limit && !state.halted {
+                return Err(SimError::InstructionLimit { limit });
             }
         }
-        Ok((instret, RangeExit::Halted))
-    }
-
-    /// [`DecodedProgram::run_range`] through the checked µop loop (the
-    /// sharded executor's replay primitive for unanalyzed programs).
-    pub(crate) fn run_range_checked<O: Observer>(
-        &self,
-        state: &mut ArchState,
-        mem: &mut MainMemory,
-        obs: &mut O,
-        budget: u64,
-    ) -> Result<(u64, RangeExit), SimError> {
-        self.run_range::<O, true, false>(state, mem, obs, budget)
-    }
-
-    /// [`DecodedProgram::run_range`] through the check-elided loop,
-    /// trace compilation enabled (inert for event-wanting observers).
-    pub(crate) fn run_range_verified<O: Observer>(
-        &self,
-        state: &mut ArchState,
-        mem: &mut MainMemory,
-        obs: &mut O,
-        budget: u64,
-        token: Verified,
-    ) -> Result<(u64, RangeExit), SimError> {
-        self.assert_token(state, token);
-        self.run_range::<O, false, true>(state, mem, obs, budget)
+        Ok(instret)
     }
 
     /// Executes one µop, advancing `state.pc`. Split out of the fetch
     /// loop so each observer's monomorphization stays readable in
-    /// profiles. With `CHECKED = false` (the [`Verified`] path) the
-    /// statically-proven fault branches compile out; each elision keeps
-    /// a `debug_assert` so test builds still catch a mis-minted token.
+    /// profiles. Every fault the oracle raises is checked here, in the
+    /// oracle's order.
     #[inline]
-    fn exec_uop<O: Observer, const CHECKED: bool>(
+    fn exec_uop<O: Observer>(
         &self,
         state: &mut ArchState,
         mem: &mut MainMemory,
@@ -1413,25 +1327,25 @@ impl DecodedProgram {
             Uop::Beq { rs1, rs2, target } => {
                 if state.x(rs1) == state.x(rs2) {
                     taken = true;
-                    next_pc = checked_target::<CHECKED>(target)?;
+                    next_pc = checked_target(target)?;
                 }
             }
             Uop::Bne { rs1, rs2, target } => {
                 if state.x(rs1) != state.x(rs2) {
                     taken = true;
-                    next_pc = checked_target::<CHECKED>(target)?;
+                    next_pc = checked_target(target)?;
                 }
             }
             Uop::Blt { rs1, rs2, target } => {
                 if (state.x(rs1) as i64) < (state.x(rs2) as i64) {
                     taken = true;
-                    next_pc = checked_target::<CHECKED>(target)?;
+                    next_pc = checked_target(target)?;
                 }
             }
             Uop::Bge { rs1, rs2, target } => {
                 if (state.x(rs1) as i64) >= (state.x(rs2) as i64) {
                     taken = true;
-                    next_pc = checked_target::<CHECKED>(target)?;
+                    next_pc = checked_target(target)?;
                 }
             }
             Uop::Jal { rd, target } => {
@@ -1439,37 +1353,28 @@ impl DecodedProgram {
                 // oracle (a faulting jal leaves rd written).
                 state.set_x(rd, (pc + 1) as u64);
                 taken = true;
-                next_pc = checked_target::<CHECKED>(target)?;
+                next_pc = checked_target(target)?;
             }
             Uop::Nop => {}
             Uop::Halt => state.halted = true,
             Uop::Vsetvli { rd, rs1, sew, lmul } => {
-                if CHECKED {
-                    check_sew_supported(pc, sew)?;
-                } else {
-                    debug_assert_ne!(sew, Sew::E64, "verified program selected e64");
-                }
+                check_sew_supported(pc, sew)?;
                 ev_vl = vsetvli_body(state, rd, rs1, sew, lmul);
                 ev_sew = sew;
             }
             Uop::VLoad { vd, rs1, ew } => {
-                mem_op = Some(vload_body::<CHECKED>(state, mem, pc, vd, rs1, ew)?);
+                mem_op = Some(vload_body(state, mem, pc, vd, rs1, ew)?);
             }
             Uop::VStore { vs3, rs1, ew } => {
-                mem_op = Some(vstore_body::<CHECKED>(state, mem, pc, vs3, rs1, ew)?);
+                mem_op = Some(vstore_body(state, mem, pc, vs3, rs1, ew)?);
             }
             Uop::VfmaccVf { vd, fs1, vs2 } => {
                 let vl = state.vl();
                 let sew = state.vtype().sew;
-                if CHECKED {
-                    // Not group-aware: the oracle faults on grouping
-                    // before the element-width rule.
-                    check_grouping_supported(pc, vl, state.vlmax())?;
-                    check_e32_only(pc, sew)?;
-                } else {
-                    debug_assert!(vl <= state.vlmax());
-                    debug_assert_eq!(sew, Sew::E32);
-                }
+                // Not group-aware: the oracle faults on grouping
+                // before the element-width rule.
+                check_grouping_supported(pc, vl, state.vlmax())?;
+                check_e32_only(pc, sew)?;
                 let s = state.f32(fs1);
                 let mut buf = [0u8; MAX_GROUP_BYTES];
                 buf[..vl * 4].copy_from_slice(&state.v_bytes(vs2)[..vl * 4]);
@@ -1483,30 +1388,22 @@ impl DecodedProgram {
             }
             Uop::VindexmacVx { vd, vs2, rs } => {
                 let sew = state.vtype().sew;
-                if CHECKED {
-                    // Unlike `.vvi`, the first-generation MAC has no
-                    // register-grouping semantics (the oracle's
-                    // `group_aware` list excludes it).
-                    check_grouping_supported(pc, state.vl(), state.vlmax())?;
-                } else {
-                    debug_assert!(state.vl() <= state.vlmax());
-                }
+                // Unlike `.vvi`, the first-generation MAC has no
+                // register-grouping semantics (the oracle's
+                // `group_aware` list excludes it).
+                check_grouping_supported(pc, state.vl(), state.vlmax())?;
                 let src = VReg::new((state.x(rs) & 0x1F) as u8);
                 let multiplier_bits = state.v_lane(vs2, 0, sew);
-                indexmac_body::<CHECKED>(state, pc, vd, src, multiplier_bits, sew)?;
+                indexmac_body(state, pc, vd, src, multiplier_bits, sew)?;
                 indirect = Some(src);
             }
             Uop::VindexmacVvi { vd, vs2, vs1, slot } => {
                 let sew = state.vtype().sew;
-                if CHECKED {
-                    check_slot(pc, slot, state.vlmax())?;
-                } else {
-                    debug_assert!((slot as usize) < state.vlmax());
-                }
+                check_slot(pc, slot, state.vlmax())?;
                 let slot = slot as usize;
                 let src = VReg::new((state.v_lane(vs1, slot, sew) & 0x1F) as u8);
                 let multiplier_bits = state.v_lane(vs2, slot, sew);
-                indexmac_body::<CHECKED>(state, pc, vd, src, multiplier_bits, sew)?;
+                indexmac_body(state, pc, vd, src, multiplier_bits, sew)?;
                 indirect = Some(src);
             }
             Uop::Step => {
@@ -1687,9 +1584,9 @@ impl DecodedProgram {
     /// the aliasing µop), or completed.
     ///
     /// Infallible in practice: every trace op was classified as unable
-    /// to fault under a `Verified` token ([`trace_op`]), and the shared
-    /// `*_body` helpers compile their check branches out at
-    /// `CHECKED = false`. The `Result` only propagates that type.
+    /// to fault under a `Verified` token ([`trace_op`]); the shared
+    /// `*_body` helpers still run their checks, and the `Result` only
+    /// propagates their type.
     fn run_trace(
         &self,
         trace: &Trace,
@@ -1821,10 +1718,10 @@ fn exec_trace_op(
             vsetvli_body(state, rd, rs1, sew, lmul);
         }
         TraceOp::VLoad { vd, rs1, ew } => {
-            vload_body::<false>(state, mem, pc, vd, rs1, ew)?;
+            vload_body(state, mem, pc, vd, rs1, ew)?;
         }
         TraceOp::VStore { vs3, rs1, ew } => {
-            vstore_body::<false>(state, mem, pc, vs3, rs1, ew)?;
+            vstore_body(state, mem, pc, vs3, rs1, ew)?;
         }
         TraceOp::Mac { .. } | TraceOp::Burst { .. } => {
             unreachable!("run_trace handles fused runs and bursts")
@@ -1858,16 +1755,10 @@ fn scalar_mem(addr: u64, bytes: u64, write: bool) -> MemOp {
 
 /// Validates a precomputed absolute branch target, mirroring the
 /// oracle's `next_pc < 0` rule (over-the-end targets surface later as
-/// `FellOffEnd`, exactly like the oracle). The verified path
-/// (`CHECKED = false`) compiles the branch out: the analyzer proved
-/// every reachable target non-negative.
+/// `FellOffEnd`, exactly like the oracle).
 #[inline]
-fn checked_target<const CHECKED: bool>(target: i64) -> Result<usize, SimError> {
-    if CHECKED {
-        crate::checks::check_branch_target(target)?;
-    } else {
-        debug_assert!(target >= 0, "verified program branched below slot 0");
-    }
+fn checked_target(target: i64) -> Result<usize, SimError> {
+    crate::checks::check_branch_target(target)?;
     Ok(target as usize)
 }
 
@@ -1876,16 +1767,6 @@ fn le32(bytes: &[u8], off: usize) -> u32 {
     u32::from_le_bytes(bytes[off..off + 4].try_into().expect("4 bytes"))
 }
 
-/// The shared MAC body of both IndexMAC µops — bit-for-bit the oracle's
-/// `exec_indexmac_body`, restructured to borrow each register group's
-/// bytes once instead of per lane.
-///
-/// The indirect-source group check is retained even on the verified
-/// path (`CHECKED = false`): the selected register comes from runtime
-/// data (scalar register or metadata lane), so the analyzer can only
-/// vouch for it through a layout contract — the one data-dependent rule
-/// stays a real branch. The *destination* checks (widening alignment,
-/// group ranges over a decode-time-constant base) do compile out.
 /// `vsetvli` semantics, shared verbatim by the per-µop interpreter and
 /// the trace executor. Returns the new `vl` (for event construction).
 #[inline]
@@ -1910,7 +1791,7 @@ fn vsetvli_body(state: &mut ArchState, rd: XReg, rs1: XReg, sew: Sew, lmul: Lmul
 /// Unit-stride vector load semantics, shared verbatim by the per-µop
 /// interpreter and the trace executor.
 #[inline]
-fn vload_body<const CHECKED: bool>(
+fn vload_body(
     state: &mut ArchState,
     mem: &mut MainMemory,
     pc: usize,
@@ -1923,15 +1804,9 @@ fn vload_body<const CHECKED: bool>(
     let addr = state.x(rs1);
     let vl = state.vl();
     let regs = group_regs(vl, state.vlmax());
-    if CHECKED {
-        check_element_width(pc, sew, ew)?;
-        check_vector_alignment(pc, addr, eb as u64)?;
-        check_group(pc, vd, regs)?;
-    } else {
-        debug_assert_eq!(sew, ew, "verified load width drifted");
-        debug_assert!(addr.is_multiple_of(eb as u64));
-        debug_assert!(vd.index() as usize + regs <= 32);
-    }
+    check_element_width(pc, sew, ew)?;
+    check_vector_alignment(pc, addr, eb as u64)?;
+    check_group(pc, vd, regs)?;
     let dst = state.v_group_bytes_mut(vd, regs);
     mem.read_slice(addr, &mut dst[..vl * eb]);
     Ok(MemOp {
@@ -1945,7 +1820,7 @@ fn vload_body<const CHECKED: bool>(
 /// Unit-stride vector store semantics, shared verbatim by the per-µop
 /// interpreter and the trace executor.
 #[inline]
-fn vstore_body<const CHECKED: bool>(
+fn vstore_body(
     state: &mut ArchState,
     mem: &mut MainMemory,
     pc: usize,
@@ -1958,15 +1833,9 @@ fn vstore_body<const CHECKED: bool>(
     let addr = state.x(rs1);
     let vl = state.vl();
     let regs = group_regs(vl, state.vlmax());
-    if CHECKED {
-        check_element_width(pc, sew, ew)?;
-        check_vector_alignment(pc, addr, eb as u64)?;
-        check_group(pc, vs3, regs)?;
-    } else {
-        debug_assert_eq!(sew, ew, "verified store width drifted");
-        debug_assert!(addr.is_multiple_of(eb as u64));
-        debug_assert!(vs3.index() as usize + regs <= 32);
-    }
+    check_element_width(pc, sew, ew)?;
+    check_vector_alignment(pc, addr, eb as u64)?;
+    check_group(pc, vs3, regs)?;
     let src = state.v_group_bytes(vs3, regs);
     mem.write_slice(addr, &src[..vl * eb]);
     Ok(MemOp {
@@ -1977,7 +1846,10 @@ fn vstore_body<const CHECKED: bool>(
     })
 }
 
-fn indexmac_body<const CHECKED: bool>(
+/// The shared MAC body of both IndexMAC µops — bit-for-bit the oracle's
+/// `exec_indexmac_body`, restructured to borrow each register group's
+/// bytes once instead of per lane.
+fn indexmac_body(
     state: &mut ArchState,
     pc: usize,
     vd: VReg,
@@ -1992,11 +1864,7 @@ fn indexmac_body<const CHECKED: bool>(
     let mut buf = [0u8; MAX_GROUP_BYTES];
     buf[..vl * info.bytes].copy_from_slice(&state.v_group_bytes(src, regs)[..vl * info.bytes]);
     if sew == Sew::E32 {
-        if CHECKED {
-            check_group(pc, vd, regs)?;
-        } else {
-            debug_assert!(vd.index() as usize + regs <= 32);
-        }
+        check_group(pc, vd, regs)?;
         let m = f32::from_bits(multiplier_bits);
         let dst = state.v_group_bytes_mut(vd, regs);
         for i in 0..vl {
@@ -2008,16 +1876,8 @@ fn indexmac_body<const CHECKED: bool>(
     } else {
         // Widening integer MAC: i8/i16 operands, i32 accumulation, the
         // destination group `widen`× the source EMUL.
-        let dst_regs = if CHECKED {
-            let dst_regs = check_widening_dst(pc, sew, vd, regs)?;
-            check_group(pc, vd, dst_regs)?;
-            dst_regs
-        } else {
-            let dst_regs = regs * info.widen;
-            debug_assert!((vd.index() as usize).is_multiple_of(info.widen) && dst_regs <= 4);
-            debug_assert!(vd.index() as usize + dst_regs <= 32);
-            dst_regs
-        };
+        let dst_regs = check_widening_dst(pc, sew, vd, regs)?;
+        check_group(pc, vd, dst_regs)?;
         let m = sign_extend(multiplier_bits, sew);
         let dst = state.v_group_bytes_mut(vd, dst_regs);
         if sew == Sew::E8 {
@@ -2431,10 +2291,10 @@ mod tests {
         }
     }
 
-    /// Runs `program` through the trace-compiled verified loop and the
-    /// checked per-µop loop on identical initial state, asserting
-    /// identical outcomes and bit-identical architectural state (the
-    /// checked loop is itself oracle-verified by [`assert_parity`]).
+    /// Runs `program` through the trace-compiled loop and the per-µop
+    /// loop on identical initial state, asserting identical outcomes
+    /// and bit-identical architectural state (the per-µop loop is
+    /// itself oracle-verified by [`assert_parity`]).
     fn assert_fused_parity(
         program: &Program,
         setup: impl Fn(&mut ArchState, &mut MainMemory),
@@ -2445,12 +2305,7 @@ mod tests {
         setup(&mut s_fused, &mut m_fused);
         let mut s_checked = s_fused.clone();
         let mut m_checked = m_fused.clone();
-        let got = decoded.execute_impl::<_, false, true>(
-            &mut s_fused,
-            &mut m_fused,
-            &mut NullObserver,
-            100_000,
-        );
+        let got = decoded.run::<_, true>(&mut s_fused, &mut m_fused, &mut NullObserver, 100_000);
         let want = decoded.execute(&mut s_checked, &mut m_checked, &mut NullObserver, 100_000);
         assert_eq!(got, want, "run outcome diverged");
         assert_eq!(s_fused, s_checked, "architectural state diverged");
@@ -2598,11 +2453,11 @@ mod tests {
 
     #[test]
     fn traced_run_range_matches_checked_at_every_budget() {
-        // Budgets that land mid-fused-run stop the batched path at a
+        // Limits that land mid-fused-run stop the batched path at a
         // block boundary and hand the tail to the per-µop loop; every
-        // budget must retire the same count, exit the same way and
-        // leave identical state as the checked loop — this is the
-        // shard-boundary contract.
+        // limit must retire the same count, fail the same way and
+        // leave identical state as the per-µop loop — this is what
+        // keeps `InstructionLimit` µop-exact on the traced path.
         let p = fused_kernel(6, Sew::E32, &[VReg::V0, VReg::V4], VReg::V8, VReg::new(10));
         let decoded = DecodedProgram::decode(&p);
         assert_eq!(decoded.fused_runs(), 1);
@@ -2613,25 +2468,12 @@ mod tests {
             seed_vrf(&mut s_t, Sew::E32, VReg::V8, VReg::new(10), 20);
             let mut s_c = s_t.clone();
             let mut m_c = m_t.clone();
-            let got = decoded
-                .run_range::<_, false, true>(&mut s_t, &mut m_t, &mut NullObserver, budget)
-                .unwrap();
-            let want = decoded
-                .run_range::<_, true, false>(&mut s_c, &mut m_c, &mut NullObserver, budget)
-                .unwrap();
+            let got = decoded.run::<_, true>(&mut s_t, &mut m_t, &mut NullObserver, budget);
+            let want = decoded.run::<_, false>(&mut s_c, &mut m_c, &mut NullObserver, budget);
             assert_eq!(got, want, "budget {budget}");
             assert_eq!(s_t, s_c, "budget {budget}");
-            // Resuming from the boundary completes identically.
-            if got.1 == RangeExit::Budget {
-                let rest_t = decoded
-                    .run_range::<_, false, true>(&mut s_t, &mut m_t, &mut NullObserver, u64::MAX)
-                    .unwrap();
-                let rest_c = decoded
-                    .run_range::<_, true, false>(&mut s_c, &mut m_c, &mut NullObserver, u64::MAX)
-                    .unwrap();
-                assert_eq!(rest_t, rest_c, "budget {budget} resume");
-                assert_eq!(s_t, s_c, "budget {budget} resume");
-                assert_eq!(got.0 + rest_t.0, total as u64, "budget {budget} total");
+            if budget >= total as u64 {
+                assert_eq!(got, Ok(total as u64), "budget {budget}");
             }
         }
     }
@@ -2706,11 +2548,10 @@ mod tests {
 
     #[test]
     fn burst_budget_stops_are_uop_exact() {
-        // A budget landing inside a burst must leave the whole burst
-        // to the per-µop interpreter: state AND memory identical to
-        // the checked loop at every boundary, and a resume completes
-        // identically — the shard-boundary contract again, for the
-        // store inside the burst.
+        // A limit landing inside a burst must leave the whole burst to
+        // the per-µop interpreter: state AND memory identical to the
+        // per-µop loop at every limit, for the store inside the burst
+        // too.
         let p = bursty_fixture();
         let decoded = DecodedProgram::decode(&p);
         let total = 9u64; // 8 traced slots + halt
@@ -2723,28 +2564,16 @@ mod tests {
             m_t.write_slice(0x2000 + 32, &pattern[..32]);
             let mut s_c = s_t.clone();
             let mut m_c = m_t.clone();
-            let got = decoded
-                .run_range::<_, false, true>(&mut s_t, &mut m_t, &mut NullObserver, budget)
-                .unwrap();
-            let want = decoded
-                .run_range::<_, true, false>(&mut s_c, &mut m_c, &mut NullObserver, budget)
-                .unwrap();
+            let got = decoded.run::<_, true>(&mut s_t, &mut m_t, &mut NullObserver, budget);
+            let want = decoded.run::<_, false>(&mut s_c, &mut m_c, &mut NullObserver, budget);
             assert_eq!(got, want, "budget {budget}");
             assert_eq!(s_t, s_c, "budget {budget}");
             let (mut seen_t, mut seen_c) = ([0u8; 64], [0u8; 64]);
             m_t.read_slice(0x1100, &mut seen_t);
             m_c.read_slice(0x1100, &mut seen_c);
             assert_eq!(seen_t, seen_c, "budget {budget} store bytes");
-            if got.1 == RangeExit::Budget {
-                let rest_t = decoded
-                    .run_range::<_, false, true>(&mut s_t, &mut m_t, &mut NullObserver, u64::MAX)
-                    .unwrap();
-                let rest_c = decoded
-                    .run_range::<_, true, false>(&mut s_c, &mut m_c, &mut NullObserver, u64::MAX)
-                    .unwrap();
-                assert_eq!(rest_t, rest_c, "budget {budget} resume");
-                assert_eq!(s_t, s_c, "budget {budget} resume");
-                assert_eq!(got.0 + rest_t.0, total, "budget {budget} total");
+            if budget >= total {
+                assert_eq!(got, Ok(total), "budget {budget}");
             }
         }
     }

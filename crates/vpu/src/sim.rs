@@ -220,54 +220,43 @@ impl Simulator {
         )
     }
 
-    /// [`Simulator::run_decoded`] through the **check-elided** engine
-    /// loop: a [`crate::analyze::Verified`] token (minted by the static
-    /// analyzer for programs with zero error-class diagnostics) replaces
-    /// the per-µop fault branches with debug assertions.
+    /// [`Simulator::run_decoded`] holding a [`crate::analyze::Verified`]
+    /// token. The timing observer wants per-µop events, so the token is
+    /// inert here and the run is the checked µop loop; the method keeps
+    /// one signature for callers that hold a token either way.
     ///
     /// # Errors
     ///
-    /// [`SimError::InstructionLimit`] only — the token certifies the
-    /// fault conditions cannot occur (still checked in debug builds).
+    /// Same conditions as [`Simulator::run`].
     pub fn run_decoded_verified(
         &mut self,
         program: &DecodedProgram,
         token: crate::analyze::Verified,
     ) -> Result<RunReport, SimError> {
         let mut obs = TimingObserver::new(self.cfg);
-        let instructions = self.run_decoded_verified_with(program, &mut obs, token)?;
+        let instructions = program.execute_verified(
+            &mut self.state,
+            &mut self.mem,
+            &mut obs,
+            self.max_instructions,
+            token,
+        )?;
         Ok(make_report(obs.model(), instructions))
     }
 
-    /// [`Simulator::run_functional_decoded`] through the check-elided
-    /// verified loop.
+    /// [`Simulator::run_functional_decoded`] through the trace-compiled
+    /// fast path, which the [`crate::analyze::Verified`] token unlocks
+    /// (see [`DecodedProgram::execute_verified`]).
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Simulator::run_decoded_verified`].
+    /// Same conditions as [`Simulator::run`].
     pub fn run_functional_verified(
         &mut self,
         program: &DecodedProgram,
         token: crate::analyze::Verified,
     ) -> Result<u64, SimError> {
-        self.run_decoded_verified_with(program, &mut NullObserver, token)
-    }
-
-    /// [`Simulator::run_functional_verified`] with the trace compiler
-    /// disabled: the check-elided per-µop loop only. This is the PR 6
-    /// measurement baseline that `engine_throughput` reports fused-path
-    /// speedups against; functional results are bit-identical to the
-    /// traced path.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Simulator::run_decoded_verified`].
-    pub fn run_functional_verified_untraced(
-        &mut self,
-        program: &DecodedProgram,
-        token: crate::analyze::Verified,
-    ) -> Result<u64, SimError> {
-        program.execute_verified_untraced(
+        program.execute_verified(
             &mut self.state,
             &mut self.mem,
             &mut NullObserver,
@@ -276,38 +265,10 @@ impl Simulator {
         )
     }
 
-    /// Splits the simulator into its architectural state and memory —
-    /// the sharded executor drives [`DecodedProgram`] range runs over
-    /// both halves while borrowing them simultaneously.
-    pub(crate) fn split_mut(&mut self) -> (&mut ArchState, &mut MainMemory) {
-        (&mut self.state, &mut self.mem)
-    }
-
-    /// Core verified entry point: runs `program` check-elided under any
-    /// [`Observer`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Simulator::run_decoded_verified`].
-    pub fn run_decoded_verified_with<O: Observer>(
-        &mut self,
-        program: &DecodedProgram,
-        observer: &mut O,
-        token: crate::analyze::Verified,
-    ) -> Result<u64, SimError> {
-        program.execute_verified(
-            &mut self.state,
-            &mut self.mem,
-            observer,
-            self.max_instructions,
-            token,
-        )
-    }
-
     /// The legacy interpret-per-step loop over [`step`] — kept verbatim
     /// as the **oracle** the decoded engine is differentially tested
     /// against (`crates/vpu/tests/prop_engine.rs`), and as the
-    /// reference for throughput measurements (`engine_throughput`).
+    /// slowest column of `engine_throughput`.
     ///
     /// # Errors
     ///

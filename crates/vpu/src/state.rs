@@ -12,8 +12,8 @@ use indexmac_isa::{Lmul, Sew, VReg, VType, XReg};
 /// 16 `e32` lanes — so reinterpretation across `vsetvli` changes comes
 /// for free, like it does in silicon.
 // `PartialEq` is bit-exact: FP registers are stored as raw bits (NaN
-// payloads included), so the sharded executor can use equality as its
-// checkpoint referee.
+// payloads included), so the differential tests can use equality as
+// their referee.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ArchState {
     x: [u64; 32],

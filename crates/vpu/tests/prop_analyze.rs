@@ -4,10 +4,10 @@
 //! Two implications pin the analyzer to the interpreter:
 //!
 //! * **Soundness** — if `analyze` reports zero error-class diagnostics
-//!   (so a [`Verified`] token would be minted and the check-elided
+//!   (so a [`Verified`] token would be minted and the trace-compiled
 //!   engine path taken), the stepwise oracle must never fault on the
-//!   same program. A violation here would mean the fast path can skip
-//!   a check that would actually have fired.
+//!   same program. A violation here would mean a compiled trace can
+//!   skip a check that would actually have fired.
 //! * **Precision tracking** — if the oracle faults, the analyzer must
 //!   have flagged an error-class diagnostic, and that diagnostic must
 //!   either name the rule corresponding to the concrete fault or be
@@ -324,8 +324,8 @@ fn check_differential(p: &Program) -> Result<(), TestCaseError> {
     }
 
     // Soundness: a clean verdict (token minted) proves the oracle
-    // cannot fault. This is the property the check-elided engine path
-    // relies on.
+    // cannot fault. This is the property the trace-compiled engine
+    // path relies on.
     if analysis.error_count() == 0 {
         prop_assert!(
             fault.is_none(),

@@ -9,13 +9,20 @@
 //! and vector files, `vl`/`vtype`, the PC), identical [`RunReport`]s,
 //! and identical faults, including the instruction-limit boundary.
 //!
+//! The trace-compiled path ([`Simulator::run_functional_verified`])
+//! runs only analyzer-clean programs, so it gets two generators of its
+//! own: a leaner random mix in which clean programs are common, and the
+//! trace compiler's steady-state block shape (`vindexmac.vvi` runs with
+//! a counter `addi` and a fall-through `bne`), both cut off at random
+//! instruction limits so the limit lands inside traces and fused runs.
+//!
 //! Run with `PROPTEST_CASES=64` in CI (mirroring the cross-kernel
 //! differential job); the shim's per-test deterministic RNG makes any
 //! failure reproducible.
 
 use indexmac_isa::instr::FReg;
 use indexmac_isa::{Instruction, Lmul, Program, ProgramBuilder, Sew, VReg, XReg};
-use indexmac_vpu::{DecodedProgram, NullObserver, SimConfig, Simulator};
+use indexmac_vpu::{analyze, DecodedProgram, NullObserver, SimConfig, Simulator};
 use proptest::prelude::*;
 use proptest::strategy::BoxedStrategy;
 
@@ -207,6 +214,121 @@ fn program() -> impl Strategy<Value = Program> {
         })
 }
 
+/// The leaner random mix the traced-path property draws from: the
+/// hostile [`program`] mix without e64 `vsetvli`s, FP loads, `jal` or
+/// most cold ops, so a good share of programs analyze clean.
+fn lean_program() -> impl Strategy<Value = Program> {
+    let instr = prop_oneof![
+        (treg(), -1000i64..1000).prop_map(|(rd, imm)| Instruction::Li { rd, imm }),
+        (areg(), 0i64..0x4000).prop_map(|(rd, v)| Instruction::Li {
+            rd,
+            imm: 0x1000 + v
+        }),
+        (treg(), treg(), -64i32..64).prop_map(|(rd, rs1, imm)| Instruction::Addi { rd, rs1, imm }),
+        (treg(), treg(), treg()).prop_map(|(rd, rs1, rs2)| Instruction::Add { rd, rs1, rs2 }),
+        (treg(), treg(), treg()).prop_map(|(rd, rs1, rs2)| Instruction::Mul { rd, rs1, rs2 }),
+        (treg(), areg(), 0i32..256).prop_map(|(rd, rs1, imm)| Instruction::Lw { rd, rs1, imm }),
+        (treg(), areg(), 0i32..256).prop_map(|(rd, rs1, imm)| Instruction::Ld { rd, rs1, imm }),
+        (treg(), areg(), 0i32..256).prop_map(|(rs2, rs1, imm)| Instruction::Sw { rs2, rs1, imm }),
+        (treg(), areg(), 0i32..256).prop_map(|(rs2, rs1, imm)| Instruction::Sd { rs2, rs1, imm }),
+        (treg(), treg(), -4i32..8).prop_map(|(rs1, rs2, offset)| Instruction::Beq {
+            rs1,
+            rs2,
+            offset
+        }),
+        (treg(), treg(), -4i32..8).prop_map(|(rs1, rs2, offset)| Instruction::Bne {
+            rs1,
+            rs2,
+            offset
+        }),
+        (treg(), treg(), -4i32..8).prop_map(|(rs1, rs2, offset)| Instruction::Blt {
+            rs1,
+            rs2,
+            offset
+        }),
+        (
+            treg(),
+            prop_oneof![Just(XReg::ZERO), treg()],
+            exec_sew(),
+            lmul()
+        )
+            .prop_map(|(rd, rs1, sew, lmul)| Instruction::Vsetvli { rd, rs1, sew, lmul }),
+        (vreg(), areg()).prop_map(|(vd, rs1)| Instruction::Vle32 { vd, rs1 }),
+        (vreg(), areg()).prop_map(|(vs3, rs1)| Instruction::Vse32 { vs3, rs1 }),
+        (vreg(), vreg(), treg()).prop_map(|(vd, vs2, rs)| Instruction::VindexmacVx { vd, vs2, rs }),
+        (vreg(), vreg(), vreg(), 0u8..20)
+            .prop_map(|(vd, vs2, vs1, slot)| { Instruction::VindexmacVvi { vd, vs2, vs1, slot } }),
+        (vreg(), vreg(), vreg()).prop_map(|(vd, vs2, vs1)| Instruction::VaddVv { vd, vs2, vs1 }),
+        (treg(), vreg()).prop_map(|(rd, vs2)| Instruction::VmvXs { rd, vs2 }),
+        Just(Instruction::Nop),
+    ];
+    (exec_sew(), lmul(), proptest::collection::vec(instr, 0..40)).prop_map(|(sew, lmul, body)| {
+        let mut b = ProgramBuilder::new();
+        b.li(XReg::new(10), 0x1000);
+        b.li(XReg::new(11), 0x2000);
+        b.li(XReg::new(12), 0x3004);
+        b.li(XReg::new(13), 0x4000);
+        b.push(Instruction::Vsetvli {
+            rd: XReg::new(5),
+            rs1: XReg::ZERO,
+            sew,
+            lmul,
+        });
+        for i in body {
+            b.push(i);
+        }
+        b.halt();
+        b.build()
+    })
+}
+
+/// The trace compiler's steady-state shape: `reps` identical blocks of
+/// `u` consecutive `vindexmac.vvi` + a counter `addi` + a fall-through
+/// `bne`. The warmed VRF supplies the metadata, so the indirection
+/// targets (and potential aliasing with the destinations) vary freely;
+/// the oracle referees whatever the fused path does with them.
+fn fused_program() -> impl Strategy<Value = Program> {
+    (
+        1usize..5,
+        1u64..12,
+        exec_sew(),
+        0u8..3,
+        (20u8..24, 24u8..28),
+    )
+        .prop_map(|(u, reps, sew, dst_sel, (vs2_idx, vs1_idx))| {
+            // Destination group base, aligned to the widening factor so
+            // the block is legal at every SEW.
+            let vd = VReg::new(dst_sel * 4);
+            let vs2 = VReg::new(vs2_idx);
+            let vs1 = VReg::new(vs1_idx);
+            let mut b = ProgramBuilder::new();
+            b.li(XReg::A0, 4);
+            b.push(Instruction::Vsetvli {
+                rd: XReg::T0,
+                rs1: XReg::A0,
+                sew,
+                lmul: Lmul::M1,
+            });
+            b.li(XReg::T2, 100);
+            for r in 0..reps {
+                for q in 0..u {
+                    b.push(Instruction::VindexmacVvi {
+                        vd: VReg::new(vd.index() + (q as u8 % 2) * 4),
+                        vs2,
+                        vs1,
+                        slot: (r % 4) as u8,
+                    });
+                }
+                b.addi(XReg::T2, XReg::T2, -1);
+                let next = b.new_label();
+                b.bne(XReg::T2, XReg::ZERO, next);
+                b.bind(next);
+            }
+            b.halt();
+            b.build()
+        })
+}
+
 /// A simulator with deterministically patterned memory and VRF, so
 /// loads, stores and indirect MACs touch interesting data.
 fn warmed_sim() -> Simulator {
@@ -259,6 +381,19 @@ fn assert_states_match(engine: &Simulator, oracle: &Simulator) -> Result<(), Tes
     prop_assert_eq!(engine.state().vtype(), oracle.state().vtype());
     prop_assert_eq!(engine.state().pc, oracle.state().pc);
     prop_assert_eq!(engine.state().halted, oracle.state().halted);
+    Ok(())
+}
+
+/// Every byte the random programs can store to (address registers
+/// reach `0x5000`, plus an immediate or one register group) agrees.
+fn assert_memory_matches(engine: &Simulator, oracle: &Simulator) -> Result<(), TestCaseError> {
+    const BASE: u64 = 0x1000;
+    let (mut got, mut want) = (vec![0u8; 0x4400], vec![0u8; 0x4400]);
+    engine.memory().read_slice(BASE, &mut got);
+    oracle.memory().read_slice(BASE, &mut want);
+    if let Some(i) = (0..got.len()).find(|&i| got[i] != want[i]) {
+        prop_assert!(false, "memory diverged at {:#x}", BASE + i as u64);
+    }
     Ok(())
 }
 
@@ -322,5 +457,32 @@ proptest! {
         let slow = oracle.run_stepwise(&p, &mut NullObserver);
         prop_assert_eq!(fast, slow, "limit handling diverged at {}", limit);
         assert_states_match(&engine, &oracle)?;
+    }
+
+    /// Traced path: every analyzer-clean program runs through the
+    /// trace-compiled functional path and the stepwise oracle under the
+    /// same random instruction limit. Outcome (retired count or fault,
+    /// `InstructionLimit` included), state and memory must agree.
+    #[test]
+    fn traced_path_matches_step_oracle_at_any_limit(
+        p in prop_oneof![lean_program(), fused_program()],
+        limit in 1u64..64,
+    ) {
+        let decoded = DecodedProgram::decode(&p);
+        let Some(token) = analyze(&decoded, SimConfig::table_i().vlen_bits).verified() else {
+            return Ok(());
+        };
+        let mut engine = warmed_sim();
+        engine.set_max_instructions(limit);
+        let mut oracle = warmed_sim();
+        oracle.set_max_instructions(limit);
+        let fast = engine.run_functional_verified(&decoded, token);
+        let slow = oracle.run_stepwise(&p, &mut NullObserver);
+        if fast != slow {
+            eprintln!("diverging program:\n{p}\ntraced: {fast:?}\noracle: {slow:?}");
+        }
+        prop_assert_eq!(&fast, &slow, "outcome diverged at limit {}", limit);
+        assert_states_match(&engine, &oracle)?;
+        assert_memory_matches(&engine, &oracle)?;
     }
 }
