@@ -14,9 +14,15 @@
 //!   win for the decoded engine over the stepwise loop on the e8 row.
 //!   The trace speedup is reported over the per-µop loop.
 //! * **cells/sec** — a warm sweep: the same grid swept twice through
-//!   `indexmac::sweep::run_cells` on one thread, so the second pass
-//!   runs entirely against the decode-once `ProgramCache` and the
-//!   reused per-thread simulator.
+//!   `indexmac::sweep::run_cells` inside a one-thread pool, so both
+//!   passes run on the bench thread, the second entirely against its
+//!   decode-once `ProgramCache` and reused simulator, and the
+//!   decode-cache counters read afterwards are the ones the cells used.
+//!
+//! Each row also splits the one-time front-end cost: `decode_ms` is
+//! the µop pass alone and `trace_compile_ms` the trace compiler, which
+//! runs lazily (forced here through `traced_uops()`; timed runs never
+//! build the traces).
 //!
 //! `INDEXMAC_PROFILE=smoke` caps the GEMM (CI); `default`/`full` run
 //! the uncapped pinned shape.
@@ -45,6 +51,7 @@ struct Row {
     dims: GemmDims,
     instructions: u64,
     decode_ms: f64,
+    trace_compile_ms: f64,
     analyze_ms: f64,
     legacy_ns: f64,
     decoded_ns: f64,
@@ -91,6 +98,7 @@ impl Row {
             ),
             ("dynamic_instructions", self.instructions.to_value()),
             ("decode_ms", self.decode_ms.to_value()),
+            ("trace_compile_ms", self.trace_compile_ms.to_value()),
             ("analyze_ms", self.analyze_ms.to_value()),
             ("legacy_run_ns", self.legacy_ns.to_value()),
             ("decoded_run_ns", self.decoded_ns.to_value()),
@@ -160,6 +168,9 @@ fn measure_row(
     let t0 = Instant::now();
     let decoded = DecodedProgram::decode(&program);
     let decode_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let t0 = Instant::now();
+    let traced_uops = decoded.traced_uops();
+    let trace_compile_ms = t0.elapsed().as_secs_f64() * 1e3;
 
     // Static analysis is a one-time cost like decoding: prove the
     // kernel fault-free against the layout contract, mint the token.
@@ -214,6 +225,7 @@ fn measure_row(
         dims: caps_dims,
         instructions,
         decode_ms,
+        trace_compile_ms,
         analyze_ms,
         legacy_ns,
         decoded_ns,
@@ -221,14 +233,23 @@ fn measure_row(
         fused_runs: decoded.fused_runs(),
         fused_uops: decoded.fused_uops(),
         traces: decoded.trace_segments(),
-        traced_uops: decoded.traced_uops(),
+        traced_uops,
         static_uops: decoded.len(),
     }
 }
 
 /// Sweeps one grid twice on this thread and reports cold/warm cell
-/// throughput plus the decode-cache counters.
+/// throughput plus the decode-cache counters. The one-thread pool keeps
+/// `run_cells` on this thread, whose cache the counters describe.
 fn measure_sweep(cfg: &ExperimentConfig) -> Value {
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("one-thread pool builds");
+    pool.install(|| sweep_twice(cfg))
+}
+
+fn sweep_twice(cfg: &ExperimentConfig) -> Value {
     reset_decode_cache();
     let grid = SweepGrid::new(
         NmPattern::EVALUATED.to_vec(),
@@ -318,6 +339,12 @@ fn main() {
             r.trace_speedup(),
             r.trace_coverage() * 100.0,
             r.ips(r.traced_ns) / 1e6,
+        );
+    }
+    for r in &rows {
+        println!(
+            "{:<18} one-time: decode {:.1} ms, trace compile {:.1} ms, analyze {:.1} ms",
+            r.label, r.decode_ms, r.trace_compile_ms, r.analyze_ms
         );
     }
 

@@ -374,7 +374,7 @@ impl ProgramCache {
             return Ok(cached.clone());
         }
         self.stats.misses += 1;
-        let program = Rc::new(DecodedProgram::decode(&build_kernel(
+        let program = Rc::new(DecodedProgram::from(build_kernel(
             algorithm, layout, params,
         )?));
         // Shipped builders always analyze clean; debug builds check it

@@ -114,6 +114,12 @@ impl CacheStats {
 pub struct Cache {
     cfg: CacheConfig,
     lines: Vec<Line>, // sets * ways, set-major
+    /// `log2(line_bytes)`: address → line number.
+    line_shift: u32,
+    /// `log2(line_bytes * sets)`: address → tag.
+    tag_shift: u32,
+    /// `sets - 1`: line number → set index.
+    set_mask: usize,
     clock: u64,
     stats: CacheStats,
 }
@@ -140,9 +146,13 @@ impl Cache {
             cfg.size_bytes,
             "size must factor exactly into sets*ways*line"
         );
+        let line_shift = cfg.line_bytes.trailing_zeros();
         Self {
             cfg,
             lines: vec![Line::default(); sets * cfg.ways],
+            line_shift,
+            tag_shift: line_shift + sets.trailing_zeros(),
+            set_mask: sets - 1,
             clock: 0,
             stats: CacheStats::default(),
         }
@@ -164,12 +174,11 @@ impl Cache {
     }
 
     fn set_index(&self, addr: u64) -> usize {
-        let line = addr / self.cfg.line_bytes as u64;
-        (line as usize) & (self.cfg.sets() - 1)
+        ((addr >> self.line_shift) as usize) & self.set_mask
     }
 
     fn tag(&self, addr: u64) -> u64 {
-        addr / self.cfg.line_bytes as u64 / self.cfg.sets() as u64
+        addr >> self.tag_shift
     }
 
     /// Checks residency without updating any state.

@@ -46,6 +46,11 @@ impl HierarchyConfig {
 /// *latency* in cycles until the data is available (or accepted, for
 /// stores). Bank and DRAM contention are tracked against absolute time,
 /// so interleaved callers see realistic queuing.
+///
+/// An access is split into the L2-line-sized lines it covers, walked in
+/// address order without allocating; line and bank indices are shifts
+/// and masks, precomputed from the (power-of-two) line size and, when
+/// it is a power of two, the bank count.
 #[derive(Debug, Clone)]
 pub struct MemoryHierarchy {
     cfg: HierarchyConfig,
@@ -54,6 +59,12 @@ pub struct MemoryHierarchy {
     dram: DramModel,
     /// Earliest free cycle per L2 bank.
     bank_free: Vec<u64>,
+    /// `log2` of the L2 line size: address → line number.
+    line_shift: u32,
+    /// `l2_banks - 1` when the bank count is a power of two (bank =
+    /// line number masked), else `None` (bank = line number modulo the
+    /// count).
+    bank_mask: Option<usize>,
     stats: MemStats,
 }
 
@@ -72,6 +83,8 @@ impl MemoryHierarchy {
             l2: Cache::new(cfg.l2),
             dram: DramModel::new(cfg.dram),
             bank_free: vec![0; cfg.l2_banks],
+            line_shift: cfg.l2.line_bytes.trailing_zeros(),
+            bank_mask: cfg.l2_banks.is_power_of_two().then(|| cfg.l2_banks - 1),
             stats: MemStats::default(),
         }
     }
@@ -102,7 +115,20 @@ impl MemoryHierarchy {
     }
 
     fn bank_of(&self, line_addr: u64) -> usize {
-        ((line_addr / self.cfg.l2.line_bytes as u64) as usize) % self.cfg.l2_banks
+        let line = (line_addr >> self.line_shift) as usize;
+        match self.bank_mask {
+            Some(mask) => line & mask,
+            None => line % self.cfg.l2_banks,
+        }
+    }
+
+    /// The first line address covered by `[addr, addr+size)` and the
+    /// number of lines covered (a zero size still touches one line).
+    fn line_span(&self, addr: u64, size: u64) -> (u64, u64) {
+        let mask = !((1u64 << self.line_shift) - 1);
+        let first = addr & mask;
+        let last = (addr + size.max(1) - 1) & mask;
+        (first, ((last - first) >> self.line_shift) + 1)
     }
 
     /// One line access at the L2 level (bank arbitration + L2 lookup +
@@ -127,14 +153,6 @@ impl MemoryHierarchy {
         }
     }
 
-    /// Iterates the 64-byte lines covered by `[addr, addr+size)`.
-    fn lines(&self, addr: u64, size: u64) -> impl Iterator<Item = u64> {
-        let lb = self.cfg.l2.line_bytes as u64;
-        let first = addr & !(lb - 1);
-        let last = (addr + size.max(1) - 1) & !(lb - 1);
-        (0..=(last - first) / lb).map(move |i| first + i * lb)
-    }
-
     /// Scalar load through L1D. Returns latency in cycles.
     pub fn scalar_read(&mut self, addr: u64, size: u64, now: u64) -> u64 {
         self.stats.scalar_loads += 1;
@@ -148,9 +166,10 @@ impl MemoryHierarchy {
     }
 
     fn scalar_access(&mut self, addr: u64, size: u64, kind: AccessKind, now: u64) -> u64 {
+        let (first, lines) = self.line_span(addr, size);
         let mut done = now;
-        let lines: Vec<u64> = self.lines(addr, size).collect();
-        for line in lines {
+        for i in 0..lines {
+            let line = first + (i << self.line_shift);
             let res = self.l1d.access(line, kind);
             let completion = if res.hit {
                 now + self.cfg.l1_latency
@@ -172,24 +191,22 @@ impl MemoryHierarchy {
     /// Vector unit-stride load: direct to the banked L2. Returns latency.
     pub fn vector_read(&mut self, addr: u64, size: u64, now: u64) -> u64 {
         self.stats.vector_loads += 1;
-        let mut done = now;
-        let lines: Vec<u64> = self.lines(addr, size).collect();
-        for line in lines {
-            let completion = self.l2_line_access(line, AccessKind::Read, now);
-            done = done.max(completion);
-        }
-        done - now
+        self.vector_access(addr, size, AccessKind::Read, now)
     }
 
     /// Vector unit-stride store: direct to the banked L2. Returns latency
     /// until the store is accepted.
     pub fn vector_write(&mut self, addr: u64, size: u64, now: u64) -> u64 {
         self.stats.vector_stores += 1;
+        self.vector_access(addr, size, AccessKind::Write, now)
+    }
+
+    fn vector_access(&mut self, addr: u64, size: u64, kind: AccessKind, now: u64) -> u64 {
+        let (first, lines) = self.line_span(addr, size);
         let mut done = now;
-        let lines: Vec<u64> = self.lines(addr, size).collect();
-        for line in lines {
-            let completion = self.l2_line_access(line, AccessKind::Write, now);
-            done = done.max(completion);
+        for i in 0..lines {
+            let line = first + (i << self.line_shift);
+            done = done.max(self.l2_line_access(line, kind, now));
         }
         done - now
     }

@@ -45,6 +45,7 @@ use crate::state::{sign_extend, ArchState};
 use indexmac_isa::instr::FReg;
 use indexmac_isa::{Instruction, Lmul, Program, Sew, VReg, XReg};
 use indexmac_mem::MainMemory;
+use std::sync::OnceLock;
 
 /// Observes the dynamic instruction stream of an engine run.
 ///
@@ -314,7 +315,8 @@ struct FusedRun {
     /// Per-position `(vd, vs2, vs1)`, identical across blocks.
     ops: Box<[(VReg, VReg, VReg)]>,
     /// All `reps * u` slot immediates in program order, extracted at
-    /// decode so the executor never re-fetches the µop stream.
+    /// trace compilation so the executor never re-fetches the µop
+    /// stream.
     slots: Box<[u8]>,
     /// The counter register of the per-block `addi rd, rd, imm`.
     ctr: XReg,
@@ -364,7 +366,7 @@ fn match_block(uops: &[Uop], at: usize) -> Option<(usize, XReg, u64, XReg, XReg)
     Some((u, rd, imm, b1, b2))
 }
 
-/// Decode-time trace compiler: scans the µop stream for runs of
+/// First trace-compiler pass: scans the µop stream for runs of
 /// [`MIN_FUSE_REPS`]+ identical steady-state blocks and records them,
 /// plus a per-slot entry table (`0` = no run starts here, else run
 /// index + 1) so the execution loop pays one array load per fetch.
@@ -514,7 +516,7 @@ enum TraceOp {
     /// retires without reading its registers.
     BranchFall,
     /// An embedded `vindexmac.vvi` slot loop: index into
-    /// [`DecodedProgram::fused`].
+    /// [`Compiled::fused`].
     Mac {
         run: u32,
     },
@@ -1016,66 +1018,115 @@ fn decode_one(pc: usize, instr: &Instruction) -> Uop {
 /// seeds amortises to nothing (see `indexmac::experiment`'s
 /// `ProgramCache`). The original instructions are kept alongside the
 /// µops for event construction, tracing and the cold-path oracle.
+///
+/// The trace compiler's tables are built lazily, once, on the first
+/// traced functional run ([`DecodedProgram::execute_verified`] under an
+/// observer that wants no events) or the first coverage query
+/// ([`DecodedProgram::traced_uops`] and friends). Timed runs never read
+/// them, so a program that is only ever timed never pays for them.
 #[derive(Debug, Clone)]
 pub struct DecodedProgram {
     uops: Box<[Uop]>,
     instrs: Box<[Instruction]>,
+    compiled: OnceLock<Compiled>,
+}
+
+/// The trace compiler's output for one program: the fused steady-state
+/// runs and the straight-line traces, each with a per-slot entry table
+/// (`0` = nothing starts at this slot, else index + 1), so the traced
+/// fetch loop pays one array load per fetch.
+#[derive(Debug, Clone)]
+struct Compiled {
     /// Trace-compiled steady-state runs (see [`FusedRun`]).
     fused: Box<[FusedRun]>,
-    /// Per-slot fused-run entry table: `0` = no run starts at this
-    /// slot, else index + 1 into `fused`.
     fused_at: Box<[u32]>,
     /// Compiled straight-line traces (see [`Trace`]); each embeds the
     /// fused runs it spans as [`TraceOp::Mac`] ops.
     traces: Box<[Trace]>,
-    /// Per-slot trace entry table, same encoding as `fused_at`.
     trace_at: Box<[u32]>,
 }
 
-impl DecodedProgram {
-    /// Predecodes `program` into µops and trace-compiles the IndexMAC
-    /// steady-state blocks (see [`DecodedProgram::fused_runs`]).
-    pub fn decode(program: &Program) -> Self {
-        let instrs: Box<[Instruction]> = program.instructions().into();
-        let uops: Box<[Uop]> = instrs
-            .iter()
-            .enumerate()
-            .map(|(pc, i)| decode_one(pc, i))
-            .collect();
-        let (fused, fused_at) = find_fused_runs(&uops);
-        let (traces, trace_at) = find_traces(&uops, &fused, &fused_at);
+impl Compiled {
+    fn new(uops: &[Uop]) -> Self {
+        #[cfg(test)]
+        tests::COMPILES.with(|n| n.set(n.get() + 1));
+        let (fused, fused_at) = find_fused_runs(uops);
+        let (traces, trace_at) = find_traces(uops, &fused, &fused_at);
         Self {
-            uops,
-            instrs,
             fused,
             fused_at,
             traces,
             trace_at,
         }
     }
+}
+
+// A decoded program is plain data that callers may clone and move or
+// share across threads; the lazily built trace tables keep it so.
+const _: fn() = || {
+    fn shareable<T: Clone + Send + Sync>() {}
+    shareable::<DecodedProgram>();
+};
+
+impl From<Program> for DecodedProgram {
+    /// Predecodes `program` into µops, taking over its instruction
+    /// buffer. The trace tables are not built here (see
+    /// [`DecodedProgram`]).
+    fn from(program: Program) -> Self {
+        let instrs: Box<[Instruction]> = program.into_instructions().into_boxed_slice();
+        let uops: Box<[Uop]> = instrs
+            .iter()
+            .enumerate()
+            .map(|(pc, i)| decode_one(pc, i))
+            .collect();
+        Self {
+            uops,
+            instrs,
+            compiled: OnceLock::new(),
+        }
+    }
+}
+
+impl DecodedProgram {
+    /// Predecodes a copy of `program` into µops (the `From<Program>`
+    /// conversion decodes without the copy).
+    pub fn decode(program: &Program) -> Self {
+        Self::from(program.clone())
+    }
+
+    /// The trace tables, compiled on first use.
+    fn compiled(&self) -> &Compiled {
+        self.compiled.get_or_init(|| Compiled::new(&self.uops))
+    }
+
+    /// Whether the trace tables have been built.
+    #[cfg(test)]
+    pub(crate) fn is_compiled(&self) -> bool {
+        self.compiled.get().is_some()
+    }
 
     /// Number of fused steady-state runs the trace compiler found.
     pub fn fused_runs(&self) -> usize {
-        self.fused.len()
+        self.compiled().fused.len()
     }
 
     /// Static µop slots covered by fused runs (the MAC slot loops
     /// alone; see [`DecodedProgram::traced_uops`] for whole-trace
     /// coverage).
     pub fn fused_uops(&self) -> usize {
-        self.fused.iter().map(FusedRun::len).sum()
+        self.compiled().fused.iter().map(FusedRun::len).sum()
     }
 
     /// Number of compiled straight-line traces.
     pub fn trace_segments(&self) -> usize {
-        self.traces.len()
+        self.compiled().traces.len()
     }
 
     /// Static µop slots covered by compiled traces — the trace
     /// compiler's coverage of the program (`traced_uops() / len()` of
     /// the hot kernels approaches 1).
     pub fn traced_uops(&self) -> usize {
-        self.traces.iter().map(|t| t.len).sum()
+        self.compiled().traces.iter().map(|t| t.len).sum()
     }
 
     /// Static instruction count.
@@ -1188,21 +1239,23 @@ impl DecodedProgram {
     ) -> Result<u64, SimError> {
         state.pc = 0;
         state.halted = false;
+        // The compiled fast paths need the token's static guarantees
+        // (`TRACED`) and an observer that needs no per-µop events —
+        // both decided at compile time, so the checked and timed
+        // monomorphizations carry no trace-compiler code at all and
+        // never build the tables.
+        let compiled = (TRACED && !O::WANTS_EVENTS).then(|| self.compiled());
         let mut instret: u64 = 0;
         while !state.halted {
             let pc = state.pc;
             let Some(uop) = self.uops.get(pc) else {
                 return Err(SimError::FellOffEnd { pc });
             };
-            // The compiled fast paths need the token's static guarantees
-            // (`TRACED`) and an observer that needs no per-µop events —
-            // both decided at compile time, so the checked and timed
-            // monomorphizations carry no trace-compiler code at all.
-            if TRACED && !O::WANTS_EVENTS {
-                let entry = self.trace_at[pc];
+            if let Some(c) = compiled {
+                let entry = c.trace_at[pc];
                 if entry != 0 {
-                    let trace = &self.traces[entry as usize - 1];
-                    let n = self.run_trace(trace, state, mem, limit - instret)?;
+                    let trace = &c.traces[entry as usize - 1];
+                    let n = self.run_trace(&c.fused, trace, state, mem, limit - instret)?;
                     if n > 0 {
                         instret += n;
                         if instret >= limit && !state.halted {
@@ -1213,9 +1266,9 @@ impl DecodedProgram {
                 }
                 // No trace starts here (a trace stopped early, or a
                 // branch landed inside one), but a fused slot loop might.
-                let entry = self.fused_at[pc];
+                let entry = c.fused_at[pc];
                 if entry != 0 {
-                    let run = &self.fused[entry as usize - 1];
+                    let run = &c.fused[entry as usize - 1];
                     let n = self.try_fused(run, state, limit - instret);
                     if n > 0 {
                         instret += n;
@@ -1589,6 +1642,7 @@ impl DecodedProgram {
     /// propagates their type.
     fn run_trace(
         &self,
+        fused: &[FusedRun],
         trace: &Trace,
         state: &mut ArchState,
         mem: &mut MainMemory,
@@ -1609,7 +1663,7 @@ impl DecodedProgram {
             for op in &trace.ops {
                 match *op {
                     TraceOp::Mac { run } => {
-                        let run = &self.fused[run as usize];
+                        let run = &fused[run as usize];
                         let n = self.try_fused(run, state, u64::MAX);
                         pc += n as usize;
                         if n < run.len() as u64 {
@@ -1638,7 +1692,7 @@ impl DecodedProgram {
             }
             match *op {
                 TraceOp::Mac { run } => {
-                    let run = &self.fused[run as usize];
+                    let run = &fused[run as usize];
                     let n = self.try_fused(run, state, budget - consumed);
                     consumed += n;
                     pc += n as usize;
@@ -1902,9 +1956,15 @@ fn indexmac_body(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use indexmac_isa::{ProgramBuilder, VType};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Trace compilations on this thread (each test has its own).
+        pub(crate) static COMPILES: Cell<usize> = const { Cell::new(0) };
+    }
 
     fn fixture(build: impl FnOnce(&mut ProgramBuilder)) -> Program {
         let mut b = ProgramBuilder::new();
@@ -2320,9 +2380,9 @@ mod tests {
         // u = 2 per block, block = u + 2, 6 blocks.
         assert_eq!(d.fused_uops(), 6 * 4);
         // Entry table: the run starts right after the 3 setup slots.
-        assert_eq!(d.fused_at[3], 1);
-        assert!(d.fused_at[4..].iter().all(|&e| e == 0));
-        let run = &d.fused[0];
+        assert_eq!(d.compiled().fused_at[3], 1);
+        assert!(d.compiled().fused_at[4..].iter().all(|&e| e == 0));
+        let run = &d.compiled().fused[0];
         assert_eq!((run.start, run.u, run.reps), (3, 2, 6));
         assert_eq!(run.ctr, XReg::T2);
         assert_eq!(run.ctr_imm, (-1i64) as u64);
@@ -2347,7 +2407,7 @@ mod tests {
         );
         let d = DecodedProgram::decode(&at);
         assert_eq!(d.fused_runs(), 1);
-        assert_eq!(d.fused[0].reps, MIN_FUSE_REPS);
+        assert_eq!(d.compiled().fused[0].reps, MIN_FUSE_REPS);
     }
 
     #[test]
@@ -2518,8 +2578,8 @@ mod tests {
     #[test]
     fn trace_planner_coalesces_static_access_runs_into_bursts() {
         let d = DecodedProgram::decode(&bursty_fixture());
-        assert_eq!(d.traces.len(), 1);
-        let t = &d.traces[0];
+        assert_eq!(d.compiled().traces.len(), 1);
+        let t = &d.compiled().traces[0];
         // vsetvli + 6-µop burst + the unresolved load; `halt` ends
         // the trace.
         assert_eq!(t.len, 8);

@@ -89,13 +89,15 @@ impl std::fmt::Display for RunReport {
             self.counts.get(InstrClass::VSlide),
             self.v2s_syncs,
         )?;
-        write!(
-            f,
-            "  {} | L1D {:.1}% | L2 {:.1}%",
-            self.mem,
-            self.l1d_hit_rate * 100.0,
-            self.l2_hit_rate * 100.0
-        )
+        write!(f, "  {} | ", self.mem)?;
+        // A kernel that issues no scalar memory access never touches
+        // the L1D, so it has no hit rate to report.
+        if self.mem.scalar_loads + self.mem.scalar_stores == 0 {
+            write!(f, "L1D n/a")?;
+        } else {
+            write!(f, "L1D {:.1}%", self.l1d_hit_rate * 100.0)?;
+        }
+        write!(f, " | L2 {:.1}%", self.l2_hit_rate * 100.0)
     }
 }
 
@@ -150,8 +152,16 @@ mod tests {
 
     #[test]
     fn display_smoke() {
+        // Vector-only traffic: the L1D saw nothing.
         let s = report(10, 20).to_string();
         assert!(s.contains("cycles"));
-        assert!(s.contains("L1D"));
+        assert!(s.contains("L1D n/a | L2 80.0%"), "{s}");
+        let mut scalar = report(10, 20);
+        scalar.mem.scalar_loads = 1;
+        let s = scalar.to_string();
+        assert!(s.contains("L1D 90.0% | L2 80.0%"), "{s}");
+        scalar.mem.scalar_loads = 0;
+        scalar.mem.scalar_stores = 1;
+        assert!(scalar.to_string().contains("L1D 90.0%"));
     }
 }

@@ -746,4 +746,146 @@ mod tests {
         assert_eq!(r.counts.get(indexmac_isa::InstrClass::VIndexMac), 1);
         assert_eq!(r.mem.vector_loads, 2, "vindexmac itself must not load");
     }
+
+    /// A kernel-shaped program with both trace-compiler targets: a
+    /// straight-line load/store region (a trace with a burst) around a
+    /// six-block `vindexmac.vvi` steady state (a fused run). Operands
+    /// live at 0x1000..0x1180; results land at 0x2000 and 0x2040.
+    fn traced_kernel() -> Program {
+        let mut b = ProgramBuilder::new();
+        b.li(XReg::A0, 16);
+        b.push(Instruction::Vsetvli {
+            rd: XReg::T0,
+            rs1: XReg::A0,
+            sew: Sew::E32,
+            lmul: Lmul::M1,
+        });
+        let loads = [
+            (0, 0x1000),
+            (4, 0x1000),
+            (8, 0x1040),
+            (10, 0x1080),
+            (20, 0x10C0),
+            (21, 0x1100),
+        ];
+        for (vd, addr) in loads {
+            b.li(XReg::T1, addr);
+            b.push(Instruction::Vle32 {
+                vd: VReg::new(vd),
+                rs1: XReg::T1,
+            });
+        }
+        b.li(XReg::T2, 100);
+        for slot in 0..6u8 {
+            for vd in [VReg::V0, VReg::V4] {
+                b.push(Instruction::VindexmacVvi {
+                    vd,
+                    vs2: VReg::V8,
+                    vs1: VReg::new(10),
+                    slot,
+                });
+            }
+            b.addi(XReg::T2, XReg::T2, -1);
+            let next = b.new_label();
+            b.bne(XReg::T2, XReg::ZERO, next);
+            b.bind(next);
+        }
+        for (vs3, addr) in [(VReg::V0, 0x2000), (VReg::V4, 0x2040)] {
+            b.li(XReg::T1, addr);
+            b.push(Instruction::Vse32 { vs3, rs1: XReg::T1 });
+        }
+        b.halt();
+        b.build()
+    }
+
+    /// A simulator holding [`traced_kernel`]'s operands: metadata lanes
+    /// alternate between v20 and v21 so every slot selects a valid row.
+    fn traced_kernel_sim() -> Simulator {
+        let mut s = sim();
+        let m = s.memory_mut();
+        let ramp: Vec<f32> = (0..16).map(|i| 0.5 + 0.25 * i as f32).collect();
+        m.write_f32_slice(0x1000, &ramp);
+        m.write_f32_slice(0x1040, &ramp.iter().map(|x| x - 2.0).collect::<Vec<_>>());
+        let meta: Vec<u8> = (0..16u32)
+            .flat_map(|i| (20 + i % 2).to_le_bytes())
+            .collect();
+        m.write_slice(0x1080, &meta);
+        m.write_f32_slice(0x10C0, &ramp.iter().map(|x| x * 3.0).collect::<Vec<_>>());
+        m.write_f32_slice(0x1100, &ramp.iter().map(|x| 1.0 - x).collect::<Vec<_>>());
+        s
+    }
+
+    fn compiles() -> usize {
+        crate::engine::tests::COMPILES.with(std::cell::Cell::get)
+    }
+
+    #[test]
+    fn traces_compile_lazily_on_the_first_traced_run() {
+        let p = traced_kernel();
+        let dp = DecodedProgram::from(p.clone());
+        let token = crate::analyze::analyze(&dp, SimConfig::table_i().vlen_bits)
+            .verified()
+            .expect("program analyzes clean");
+        let untouched_clone = dp.clone();
+        let start = compiles();
+
+        // Timed and per-µop functional runs never build the tables.
+        let timed = traced_kernel_sim().run_decoded(&dp).unwrap();
+        let timed_verified = traced_kernel_sim()
+            .run_decoded_verified(&dp, token)
+            .unwrap();
+        assert_eq!(timed, timed_verified);
+        traced_kernel_sim().run_functional_decoded(&dp).unwrap();
+        assert!(!dp.is_compiled(), "a timed run compiled the traces");
+        assert_eq!(compiles(), start);
+
+        // The first traced run compiles exactly once; later ones reuse.
+        let mut lazy = traced_kernel_sim();
+        let instret = lazy.run_functional_verified(&dp, token).unwrap();
+        assert!(dp.is_compiled());
+        assert_eq!(compiles(), start + 1);
+        traced_kernel_sim()
+            .run_functional_verified(&dp, token)
+            .unwrap();
+        assert_eq!(compiles(), start + 1, "compiled twice");
+        assert_eq!(instret, timed.instructions);
+        assert!(
+            dp.fused_runs() == 1 && dp.trace_segments() > 0,
+            "fixture lost its traces"
+        );
+        assert_eq!(compiles(), start + 1);
+
+        // Same results as a program whose traces were forced up front,
+        // and as clones taken before and after compilation.
+        let forced = DecodedProgram::decode(&p);
+        assert!(forced.traced_uops() > 0);
+        let compiled_clone = dp.clone();
+        assert!(compiled_clone.is_compiled() && !untouched_clone.is_compiled());
+        let compiles_so_far = compiles();
+        let want = lazy.state().clone();
+        let want_out = lazy.memory().read_f32_slice(0x2000, 32);
+        for (what, program) in [
+            ("forced", &forced),
+            ("compiled clone", &compiled_clone),
+            ("uncompiled clone", &untouched_clone),
+        ] {
+            let mut s = traced_kernel_sim();
+            assert_eq!(s.run_decoded(program).unwrap(), timed, "{what}: timed");
+            let mut s2 = traced_kernel_sim();
+            assert_eq!(
+                s2.run_functional_verified(program, token).unwrap(),
+                instret,
+                "{what}: traced"
+            );
+            assert_eq!(s.state(), &want, "{what}: timed state");
+            assert_eq!(s2.state(), &want, "{what}: traced state");
+            assert_eq!(s2.memory().read_f32_slice(0x2000, 32), want_out, "{what}");
+        }
+        assert!(untouched_clone.is_compiled());
+        assert_eq!(
+            compiles(),
+            compiles_so_far + 1,
+            "only the uncompiled clone compiles"
+        );
+    }
 }
