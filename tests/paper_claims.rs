@@ -4,6 +4,7 @@
 
 use indexmac::experiment::{compare_gemm, run_gemm, Algorithm, ExperimentConfig};
 use indexmac::kernels::{Dataflow, GemmDims, KernelParams};
+use indexmac::mem::MemStats;
 use indexmac::sparse::NmPattern;
 use indexmac_models::GemmCaps;
 
@@ -288,6 +289,54 @@ fn vvi_lead_survives_every_timing_backend_at_bert_ffn() {
             c.proposed.report.cycles as u128,
         )
     };
+    // Exact per-backend reports. Cycles and instret match
+    // BENCH_timing.json; memory traffic is backend-invariant. A timing
+    // refactor that moves any of these numbers changes the model.
+    let vx_mem = MemStats {
+        vector_loads: 53248,
+        vector_stores: 16384,
+        dram_reads: 5634,
+        ..MemStats::default()
+    };
+    let vvi_mem = MemStats {
+        vector_loads: 51200,
+        ..vx_mem
+    };
+    // (cycles, instret, engine busy, vq stall, ROB stall, v2s syncs).
+    let pins = [
+        (
+            TimingKind::InOrder,
+            (463244, 430949, 331776, 0, 0, 65536),
+            (241260, 197573, 167936, 136689, 0, 0),
+        ),
+        (
+            TimingKind::Pipelined,
+            (509568, 430949, 331776, 0, 0, 65536),
+            (241262, 197573, 167936, 103415, 0, 0),
+        ),
+        (
+            TimingKind::OutOfOrder,
+            (509281, 430949, 331776, 0, 0, 65536),
+            (241259, 197573, 167936, 112194, 0, 0),
+        ),
+    ];
+    let fields = |r: &indexmac::vpu::RunReport| {
+        (
+            r.cycles,
+            r.instructions,
+            r.engine_busy_cycles,
+            r.vq_stall_cycles,
+            r.rob_stall_cycles,
+            r.v2s_syncs,
+        )
+    };
+    for ((kind, c), (pin_kind, vx, vvi)) in by_backend.iter().zip(pins) {
+        assert_eq!(*kind, pin_kind);
+        assert_eq!(fields(&c.baseline.report), vx, "{kind}: vx report moved");
+        assert_eq!(fields(&c.proposed.report), vvi, "{kind}: vvi report moved");
+        assert_eq!(c.baseline.report.mem, vx_mem, "{kind}: vx traffic moved");
+        assert_eq!(c.proposed.report.mem, vvi_mem, "{kind}: vvi traffic moved");
+    }
     let (vx_io, vvi_io) = lead(&by_backend[0].1);
     let (vx_ooo, vvi_ooo) = lead(&by_backend[2].1);
     assert!(
