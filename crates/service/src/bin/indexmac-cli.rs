@@ -351,10 +351,84 @@ fn apply_overrides(cfg: &mut ExperimentConfig, seed: Option<u64>, max_instructio
     }
 }
 
-/// Parses the argument vector (without the program name).
+/// The flags each command accepts, or `None` for an unknown command.
+fn accepted_flags(cmd: &str) -> Option<&'static [&'static str]> {
+    Some(match cmd {
+        "config" => &[],
+        "gemm" => &[
+            "rows",
+            "inner",
+            "cols",
+            "pattern",
+            "algorithm",
+            "unroll",
+            "tile-rows",
+            "lmul",
+            "sew",
+            "seed",
+            "max-instructions",
+            "timing",
+        ],
+        "layer" => &["model", "name", "pattern", "seed"],
+        "model" => &[
+            "preset",
+            "pattern",
+            "seq-len",
+            "sew",
+            "caps",
+            "seed",
+            "max-instructions",
+            "timing",
+        ],
+        "list" => &["model"],
+        "lint" => &[
+            "algorithm",
+            "dims",
+            "patterns",
+            "sew",
+            "lmul",
+            "unroll",
+            "tile-rows",
+            "format",
+        ],
+        "sweep" => &[
+            "dims",
+            "patterns",
+            "dataflows",
+            "algorithm",
+            "baseline",
+            "lmul",
+            "sew",
+            "timing",
+            "seed",
+            "threads",
+            "format",
+            "max-instructions",
+            "store-dir",
+        ],
+        "serve" => &[
+            "store-dir",
+            "addr",
+            "threads",
+            "algorithm",
+            "baseline",
+            "lmul",
+            "sew",
+            "timing",
+            "max-instructions",
+        ],
+        _ => return None,
+    })
+}
+
+/// Parses the argument vector (without the program name). A flag the
+/// command does not take, or one given twice, is an error naming both
+/// the flag and the command.
 fn parse(args: &[String]) -> Result<Command, String> {
     let mut it = args.iter();
     let cmd = it.next().ok_or(USAGE.to_string())?;
+    let accepted =
+        accepted_flags(cmd).ok_or_else(|| format!("unknown command `{cmd}`\n{USAGE}"))?;
     let mut opts = std::collections::HashMap::new();
     let rest: Vec<&String> = it.collect();
     let mut i = 0;
@@ -362,8 +436,13 @@ fn parse(args: &[String]) -> Result<Command, String> {
         let key = rest[i]
             .strip_prefix("--")
             .ok_or(format!("expected --option, got `{}`", rest[i]))?;
+        if !accepted.contains(&key) {
+            return Err(format!("`{cmd}` does not take --{key}"));
+        }
         let value = rest.get(i + 1).ok_or(format!("--{key} needs a value"))?;
-        opts.insert(key.to_string(), (*value).clone());
+        if opts.insert(key.to_string(), (*value).clone()).is_some() {
+            return Err(format!("--{key} given twice to `{cmd}`"));
+        }
         i += 2;
     }
     let get = |k: &str| opts.get(k).cloned();
@@ -574,7 +653,7 @@ fn parse(args: &[String]) -> Result<Command, String> {
                 timing: parse_timing(&opts)?,
             })
         }
-        other => Err(format!("unknown command `{other}`\n{USAGE}")),
+        other => unreachable!("`{other}` has a flag list but no parser"),
     }
 }
 
@@ -1640,6 +1719,33 @@ mod tests {
         assert!(parse(&argv("gemm --rows"))
             .unwrap_err()
             .contains("needs a value"));
+        // Flags a command does not take, and repeated flags, are errors
+        // that name both the flag and the command.
+        for (args, words) in [
+            (
+                "gemm --rows 8 --inner 8 --cols 8 --timng ooo",
+                ["--timng", "`gemm`"],
+            ),
+            (
+                "layer --model resnet50 --name l --timing ooo",
+                ["--timing", "`layer`"],
+            ),
+            ("config --rows 8", ["--rows", "`config`"]),
+            ("serve --store-dir d --seed 1", ["--seed", "`serve`"]),
+            (
+                "gemm --rows 8 --inner 8 --cols 8 --seed 1 --seed 2",
+                ["--seed", "twice"],
+            ),
+            (
+                "sweep --dims 8x64x32 --timing ooo --timing inorder",
+                ["--timing", "`sweep`"],
+            ),
+        ] {
+            let err = parse(&argv(args)).unwrap_err();
+            for w in words {
+                assert!(err.contains(w), "`{args}`: error `{err}` lacks `{w}`");
+            }
+        }
         assert!(parse_pattern("5").is_err());
         assert!(parse_pattern("9:4").is_err());
         assert!(parse_algorithm("gpu").is_err());

@@ -5,8 +5,8 @@ use indexmac_mem::HierarchyConfig;
 
 /// Which scalar-core timing backend the simulator accounts cycles with.
 ///
-/// All three consume the same decoded µop stream through the
-/// [`crate::TimingModel`] trait; only the scalar core differs — the
+/// All three consume the same decoded µop stream through one
+/// [`crate::Timing`] model; only the scalar core differs — the
 /// decoupled vector engine model is shared, so dynamic instruction
 /// counts are identical across backends and only cycle counts move.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]

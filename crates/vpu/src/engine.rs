@@ -50,7 +50,7 @@ use std::sync::OnceLock;
 /// Observes the dynamic instruction stream of an engine run.
 ///
 /// The engine is generic over the observer, so each implementation gets
-/// its own monomorphized loop: the timing path ([`crate::TimingObserver`])
+/// its own monomorphized loop: the timing path ([`crate::Timing`])
 /// compiles to exactly the old closure-based loop, while
 /// [`NullObserver`] — with [`Observer::WANTS_EVENTS`] `false` — compiles
 /// to a loop with no event construction whatsoever.

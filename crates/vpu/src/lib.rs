@@ -17,7 +17,7 @@
 //! cycle counts and traffic statistics. [`Simulator`] drives both in a
 //! single pass, through the decode-once [`engine`]: programs predecode
 //! into µop form ([`DecodedProgram`]) and run under an [`Observer`] —
-//! [`TimingObserver`] for the timed path, [`NullObserver`] for a
+//! [`Timing`] for the timed path, [`NullObserver`] for a
 //! functional loop that never materialises events. The per-step
 //! interpreter is retained as the differential-testing oracle
 //! ([`sim::Simulator::run_stepwise`]).
@@ -63,8 +63,5 @@ pub use exec::{ExecError, ExecEvent, MemOp};
 pub use report::RunReport;
 pub use sim::{SimError, Simulator};
 pub use state::ArchState;
-pub use timing::{
-    AnyTimingModel, ClassCounts, InOrderScoreboard, InstrTiming, OutOfOrder, PipeStalls, Pipelined,
-    TimingModel, TimingObserver,
-};
+pub use timing::{ClassCounts, InstrTiming, Timing};
 pub use trace::{Trace, TraceEntry, TraceObserver};

@@ -5,7 +5,7 @@ use crate::engine::{DecodedProgram, NullObserver, Observer};
 use crate::exec::{step, ExecError};
 use crate::report::RunReport;
 use crate::state::ArchState;
-use crate::timing::{TimingModel, TimingObserver};
+use crate::timing::Timing;
 use crate::trace::TraceObserver;
 use indexmac_isa::Program;
 use indexmac_mem::MainMemory;
@@ -159,9 +159,9 @@ impl Simulator {
     ///
     /// Same conditions as [`Simulator::run`].
     pub fn run_decoded(&mut self, program: &DecodedProgram) -> Result<RunReport, SimError> {
-        let mut obs = TimingObserver::new(self.cfg);
-        let instructions = self.run_decoded_with(program, &mut obs)?;
-        Ok(make_report(obs.model(), instructions))
+        let mut timing = Timing::new(self.cfg);
+        let instructions = self.run_decoded_with(program, &mut timing)?;
+        Ok(timing.report(instructions))
     }
 
     /// Runs `program` with timing, recording the first `trace_cap`
@@ -178,7 +178,7 @@ impl Simulator {
         let mut obs = TraceObserver::new(self.cfg, trace_cap);
         let instructions = self.run_decoded_with(&DecodedProgram::decode(program), &mut obs)?;
         let (timing, trace) = obs.into_parts();
-        Ok((make_report(&timing, instructions), trace))
+        Ok((timing.report(instructions), trace))
     }
 
     /// Runs `program` functionally only (no timing) — used where only
@@ -233,15 +233,15 @@ impl Simulator {
         program: &DecodedProgram,
         token: crate::analyze::Verified,
     ) -> Result<RunReport, SimError> {
-        let mut obs = TimingObserver::new(self.cfg);
+        let mut timing = Timing::new(self.cfg);
         let instructions = program.execute_verified(
             &mut self.state,
             &mut self.mem,
-            &mut obs,
+            &mut timing,
             self.max_instructions,
             token,
         )?;
-        Ok(make_report(obs.model(), instructions))
+        Ok(timing.report(instructions))
     }
 
     /// [`Simulator::run_functional_decoded`] through the trace-compiled
@@ -307,26 +307,9 @@ impl Simulator {
     ///
     /// Same conditions as [`Simulator::run`].
     pub fn run_stepwise_timed(&mut self, program: &Program) -> Result<RunReport, SimError> {
-        let mut obs = TimingObserver::new(self.cfg);
-        let instructions = self.run_stepwise(program, &mut obs)?;
-        Ok(make_report(obs.model(), instructions))
-    }
-}
-
-/// Collects a [`RunReport`] from a drained timing model (any backend).
-fn make_report(timing: &impl TimingModel, instructions: u64) -> RunReport {
-    let hier = timing.hierarchy();
-    RunReport {
-        cycles: timing.total_cycles(),
-        instructions,
-        counts: timing.counts(),
-        mem: timing.mem_stats(),
-        l1d_hit_rate: hier.l1d().stats().hit_rate(),
-        l2_hit_rate: hier.l2().stats().hit_rate(),
-        engine_busy_cycles: timing.engine_busy_cycles(),
-        vq_stall_cycles: timing.vq_stall_cycles(),
-        rob_stall_cycles: timing.rob_stall_cycles(),
-        v2s_syncs: timing.v2s_syncs(),
+        let mut timing = Timing::new(self.cfg);
+        let instructions = self.run_stepwise(program, &mut timing)?;
+        Ok(timing.report(instructions))
     }
 }
 

@@ -1,57 +1,47 @@
-//! The in-order issue scoreboard — the original timing model, and the
-//! backend every pinned paper number is measured under.
+//! The in-order issue stage — the original timing model, the backend
+//! every pinned paper number is measured under, and the issue stage of
+//! the pipelined backend.
 
-use super::vector::VectorSide;
-use super::{ClassCounts, InstrTiming, TimingModel};
+use super::{is_engine, InstrTiming, Shared};
 use crate::config::SimConfig;
 use crate::exec::ExecEvent;
-use indexmac_isa::{InstrClass, Instruction};
-use indexmac_mem::MemoryHierarchy;
+use indexmac_isa::InstrClass;
 use std::collections::VecDeque;
 
-/// The in-order scoreboard: issue at `issue_width` per cycle in program
-/// order, a reorder-buffer window that gates issue when full (in-order
-/// retire), a register scoreboard, and a taken-branch redirect penalty.
-/// Vector instructions hand over to the shared [`VectorSide`].
+/// In-order issue at `issue_width` per cycle in program order, behind a
+/// reorder-buffer window that gates issue when full (in-order retire).
+/// Taken branches redirect issue after the flat penalty.
 #[derive(Debug, Clone)]
-pub struct InOrderScoreboard {
-    cfg: SimConfig,
-    hier: MemoryHierarchy,
-
-    // Scalar core.
-    x_ready: [u64; 32],
-    f_ready: [u64; 32],
+pub(super) struct InOrder {
     issue_cycle: u64,
     issued_in_cycle: u32,
     vdispatched_in_cycle: u32,
     rob: VecDeque<u64>,
-
-    // Vector engine.
-    vec: VectorSide,
-
-    // Counters.
-    counts: ClassCounts,
-    rob_stall_cycles: u64,
-    last_completion: u64,
 }
 
-impl InOrderScoreboard {
-    /// Builds a fresh model for `cfg` (cold caches, empty queues).
-    pub fn new(cfg: SimConfig) -> Self {
+impl InOrder {
+    pub fn new(cfg: &SimConfig) -> Self {
         Self {
-            cfg,
-            hier: MemoryHierarchy::new(cfg.hierarchy),
-            x_ready: [0; 32],
-            f_ready: [0; 32],
             issue_cycle: 0,
             issued_in_cycle: 0,
             vdispatched_in_cycle: 0,
             rob: VecDeque::with_capacity(cfg.rob_entries),
-            vec: VectorSide::new(cfg),
-            counts: ClassCounts::default(),
-            rob_stall_cycles: 0,
-            last_completion: 0,
         }
+    }
+
+    /// The issue clock.
+    pub fn clock(&self) -> u64 {
+        self.issue_cycle
+    }
+
+    pub fn observe(&mut self, m: &mut Shared, ev: &ExecEvent, class: InstrClass) -> InstrTiming {
+        let ready = m.regs.ready(ev);
+        let t = self.issue(m, ev, class, ready, 0);
+        if class == InstrClass::ControlFlow && ev.branch_taken {
+            // Redirect: later instructions fetch after the penalty.
+            self.advance(t.issue_at + m.cfg.branch_taken_penalty);
+        }
+        t
     }
 
     /// Advances the issue clock to `cycle`, opening fresh issue and
@@ -60,97 +50,48 @@ impl InOrderScoreboard {
     /// — funnels through here, so the per-cycle counters can never be
     /// left stale in a new cycle (a vector dispatch in a fresh cycle
     /// after a stall must see a full dispatch budget).
-    fn advance_issue_cycle(&mut self, cycle: u64) {
+    fn advance(&mut self, cycle: u64) {
         debug_assert!(cycle >= self.issue_cycle, "issue clock runs forward");
         self.issue_cycle = cycle;
         self.issued_in_cycle = 0;
         self.vdispatched_in_cycle = 0;
     }
 
-    fn note_completion(&mut self, c: u64) {
-        if c > self.last_completion {
-            self.last_completion = c;
-        }
-    }
-
-    fn run_scalar(&mut self, ev: &ExecEvent, class: InstrClass, issue_at: u64) -> u64 {
-        let completion = match class {
-            InstrClass::ScalarAlu => {
-                let lat = if matches!(ev.instr, Instruction::Mul { .. }) {
-                    self.cfg.mul_latency
-                } else {
-                    self.cfg.alu_latency
-                };
-                issue_at + lat
-            }
-            InstrClass::ScalarLoad => {
-                let m = ev.mem.expect("scalar load carries a memory op");
-                let lat = self.hier.scalar_read(m.addr, m.bytes, issue_at);
-                issue_at + lat
-            }
-            InstrClass::ScalarStore => {
-                let m = ev.mem.expect("scalar store carries a memory op");
-                let _drain = self.hier.scalar_write(m.addr, m.bytes, issue_at);
-                // Stores commit from the store buffer off the critical path.
-                issue_at + 1
-            }
-            InstrClass::ControlFlow => {
-                if ev.branch_taken {
-                    // Redirect: later instructions fetch after the penalty.
-                    self.advance_issue_cycle(issue_at + self.cfg.branch_taken_penalty);
-                }
-                issue_at + 1
-            }
-            InstrClass::System => issue_at + 1,
-            _ => unreachable!("non-scalar class routed to run_scalar"),
-        };
-        if let Some(rd) = ev.instr.x_dst() {
-            self.x_ready[rd.index() as usize] = completion;
-        }
-        if let Some(fd) = ev.instr.f_dst() {
-            self.f_ready[fd.index() as usize] = completion;
-        }
-        completion
-    }
-}
-
-impl TimingModel for InOrderScoreboard {
-    fn observe(&mut self, ev: &ExecEvent) -> InstrTiming {
-        let class = ev.instr.class();
-        self.counts.bump(class);
-
-        // ---- scalar-side operand readiness ----
-        let mut ready = 0u64;
-        for src in ev.instr.x_srcs().into_iter().flatten() {
-            ready = ready.max(self.x_ready[src.index() as usize]);
-        }
-        if let Some(fsrc) = ev.instr.f_src() {
-            ready = ready.max(self.f_ready[fsrc.index() as usize]);
-        }
-
+    /// Issues one instruction whose operands are ready at `ready`,
+    /// executes it and enters it into the ROB. Scalar results bypass to
+    /// consumers when execution ends and complete `writeback` cycles
+    /// later.
+    pub fn issue(
+        &mut self,
+        m: &mut Shared,
+        ev: &ExecEvent,
+        class: InstrClass,
+        ready: u64,
+        writeback: u64,
+    ) -> InstrTiming {
         // ---- ROB window (in-order retire) ----
         let mut issue_at = ready.max(self.issue_cycle);
-        while self.rob.len() >= self.cfg.rob_entries {
+        while self.rob.len() >= m.cfg.rob_entries {
             let oldest = self.rob.pop_front().expect("rob non-empty");
             if oldest > issue_at {
                 // Charge the stall AND advance the issue clock on the
                 // same path: the two must always move together, or a
                 // later issue-slot check could observe a clock that
                 // lags the cycles already charged as stalled.
-                self.rob_stall_cycles += oldest - issue_at;
+                m.rob_stall_cycles += oldest - issue_at;
                 issue_at = oldest;
-                self.advance_issue_cycle(oldest);
+                self.advance(oldest);
             }
         }
 
         // ---- issue-slot accounting ----
         if issue_at > self.issue_cycle {
-            self.advance_issue_cycle(issue_at);
+            self.advance(issue_at);
         }
-        if self.issued_in_cycle >= self.cfg.issue_width
-            || (class.is_vector() && self.vdispatched_in_cycle >= self.cfg.vdispatch_per_cycle)
+        if self.issued_in_cycle >= m.cfg.issue_width
+            || (class.is_vector() && self.vdispatched_in_cycle >= m.cfg.vdispatch_per_cycle)
         {
-            self.advance_issue_cycle(self.issue_cycle + 1);
+            self.advance(self.issue_cycle + 1);
         }
         let issue_at = self.issue_cycle;
         self.issued_in_cycle += 1;
@@ -163,106 +104,41 @@ impl TimingModel for InOrderScoreboard {
         // scalar core's ROB (vector instructions retire early in the
         // decoupled design); `result_at` is when the *result* is
         // architecturally available, which is what the trace reports.
-        let (start, rob_completion, result_at) = if class.is_vector() {
-            // vsetvli is resolved scalar-side in decoupled designs (the
-            // granted vl returns immediately; the engine is re-configured
-            // in program order by construction).
-            if class == InstrClass::VConfig {
-                let completion = issue_at + 1;
-                if let Some(rd) = ev.instr.x_dst() {
-                    self.x_ready[rd.index() as usize] = completion;
-                }
-                (issue_at, completion, completion)
-            } else {
-                let out = self.vec.run(&mut self.hier, ev, class, issue_at);
-                if out.dispatch > self.issue_cycle {
-                    // The scalar core was blocked handing the
-                    // instruction over a full decoupling queue.
-                    self.advance_issue_cycle(out.dispatch);
-                }
-                if let Some((rd, at)) = out.x_write {
-                    self.x_ready[rd.index() as usize] = at;
-                }
-                if let Some((fd, at)) = out.f_write {
-                    self.f_ready[fd.index() as usize] = at;
-                }
-                self.note_completion(out.result_at);
-                (out.start, out.rob_completion, out.result_at)
+        let (start, rob_completion, result_at) = if is_engine(class) {
+            let out = m.run_vector(ev, class, issue_at, 0);
+            if out.dispatch > self.issue_cycle {
+                // The scalar core was blocked handing the instruction
+                // over a full decoupling queue.
+                self.advance(out.dispatch);
             }
+            (out.start, out.rob_completion, out.result_at)
         } else {
-            let c = self.run_scalar(ev, class, issue_at);
-            (issue_at, c, c)
+            let done = m.exec_scalar(ev, class, issue_at);
+            m.regs.define(ev, done);
+            (issue_at, done + writeback, done + writeback)
         };
 
         self.rob.push_back(rob_completion);
-        self.note_completion(rob_completion);
+        m.note_completion(rob_completion);
         InstrTiming {
             issue_at,
             start,
             completion: result_at,
         }
     }
-
-    fn config(&self) -> &SimConfig {
-        &self.cfg
-    }
-
-    fn hierarchy(&self) -> &MemoryHierarchy {
-        &self.hier
-    }
-
-    fn counts(&self) -> ClassCounts {
-        self.counts
-    }
-
-    fn engine_busy_cycles(&self) -> u64 {
-        self.vec.engine_busy()
-    }
-
-    fn vq_stall_cycles(&self) -> u64 {
-        self.vec.vq_stall_cycles()
-    }
-
-    fn rob_stall_cycles(&self) -> u64 {
-        self.rob_stall_cycles
-    }
-
-    fn v2s_syncs(&self) -> u64 {
-        self.vec.v2s_syncs()
-    }
-
-    fn total_cycles(&self) -> u64 {
-        self.issue_cycle
-            .max(self.vec.engine_free())
-            .max(self.last_completion)
-    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::exec::MemOp;
-    use indexmac_isa::{VReg, XReg};
-
-    fn cfg() -> SimConfig {
-        SimConfig::table_i()
-    }
-
-    fn alu_ev(rd: XReg, rs1: XReg) -> ExecEvent {
-        ExecEvent {
-            pc: 0,
-            instr: Instruction::Addi { rd, rs1, imm: 1 },
-            mem: None,
-            indirect_vreg: None,
-            branch_taken: false,
-            vl: 16,
-            sew: indexmac_isa::Sew::E32,
-        }
-    }
+    use super::super::tests::{
+        alu_ev, branch_ev, cfg, load_ev, vindexmac_ev, vload_ev, vmac_ev, vmv_x_s_ev,
+    };
+    use super::super::Timing;
+    use indexmac_isa::{InstrClass, VReg, XReg};
 
     #[test]
     fn independent_alu_ops_pack_into_issue_width() {
-        let mut t = InOrderScoreboard::new(cfg());
+        let mut t = Timing::new(cfg());
         // 8 independent ops with distinct dest regs fit in one cycle.
         for i in 1..=8 {
             t.observe(&alu_ev(XReg::new(i), XReg::ZERO));
@@ -275,7 +151,7 @@ mod tests {
 
     #[test]
     fn dependent_chain_serialises() {
-        let mut t = InOrderScoreboard::new(cfg());
+        let mut t = Timing::new(cfg());
         for _ in 0..10 {
             t.observe(&alu_ev(XReg::T0, XReg::T0));
         }
@@ -285,26 +161,8 @@ mod tests {
 
     #[test]
     fn scalar_load_latency_propagates_to_consumer() {
-        let mut t = InOrderScoreboard::new(cfg());
-        let ld = ExecEvent {
-            pc: 0,
-            instr: Instruction::Lw {
-                rd: XReg::T0,
-                rs1: XReg::A0,
-                imm: 0,
-            },
-            mem: Some(MemOp {
-                addr: 0x1000,
-                bytes: 4,
-                write: false,
-                vector: false,
-            }),
-            indirect_vreg: None,
-            branch_taken: false,
-            vl: 16,
-            sew: indexmac_isa::Sew::E32,
-        };
-        t.observe(&ld);
+        let mut t = Timing::new(cfg());
+        t.observe(&load_ev(XReg::T0, 0x1000));
         let cold = t.total_cycles();
         assert!(cold > 10, "cold load must reach DRAM (got {cold})");
         // A dependent consumer issues only after the load returns.
@@ -314,67 +172,21 @@ mod tests {
 
     #[test]
     fn taken_branch_pays_redirect() {
-        let mut t = InOrderScoreboard::new(cfg());
-        let br = ExecEvent {
-            pc: 0,
-            instr: Instruction::Bne {
-                rs1: XReg::ZERO,
-                rs2: XReg::T0,
-                offset: -1,
-            },
-            mem: None,
-            indirect_vreg: None,
-            branch_taken: true,
-            vl: 16,
-            sew: indexmac_isa::Sew::E32,
-        };
-        t.observe(&br);
+        let mut t = Timing::new(cfg());
+        t.observe(&branch_ev(true));
         t.observe(&alu_ev(XReg::T1, XReg::ZERO));
         // Next instruction issues only after the redirect penalty.
         assert!(t.total_cycles() > cfg().branch_taken_penalty);
     }
 
-    fn vload_ev(vd: VReg, addr: u64) -> ExecEvent {
-        ExecEvent {
-            pc: 0,
-            instr: Instruction::Vle32 { vd, rs1: XReg::A0 },
-            mem: Some(MemOp {
-                addr,
-                bytes: 64,
-                write: false,
-                vector: true,
-            }),
-            indirect_vreg: None,
-            branch_taken: false,
-            vl: 16,
-            sew: indexmac_isa::Sew::E32,
-        }
-    }
-
-    fn vmac_ev(vd: VReg, vs2: VReg) -> ExecEvent {
-        ExecEvent {
-            pc: 0,
-            instr: Instruction::VfmaccVf {
-                vd,
-                fs1: indexmac_isa::instr::FReg::F0,
-                vs2,
-            },
-            mem: None,
-            indirect_vreg: None,
-            branch_taken: false,
-            vl: 16,
-            sew: indexmac_isa::Sew::E32,
-        }
-    }
-
     #[test]
     fn vector_load_data_gates_dependent_mac() {
-        let mut t = InOrderScoreboard::new(cfg());
+        let mut t = Timing::new(cfg());
         t.observe(&vload_ev(VReg::V1, 0x0));
         t.observe(&vmac_ev(VReg::V2, VReg::V1));
         let with_dep = t.total_cycles();
 
-        let mut t2 = InOrderScoreboard::new(cfg());
+        let mut t2 = Timing::new(cfg());
         t2.observe(&vload_ev(VReg::V1, 0x0));
         t2.observe(&vmac_ev(VReg::V2, VReg::V3)); // independent
         let without_dep = t2.total_cycles();
@@ -386,24 +198,11 @@ mod tests {
 
     #[test]
     fn indexmac_waits_for_indirect_source() {
-        let mut t = InOrderScoreboard::new(cfg());
+        let mut t = Timing::new(cfg());
         // Load into v20, then vindexmac reading v20 indirectly.
         t.observe(&vload_ev(VReg::new(20), 0x0));
         let loaded_at = t.total_cycles();
-        let imac = ExecEvent {
-            pc: 1,
-            instr: Instruction::VindexmacVx {
-                vd: VReg::V1,
-                vs2: VReg::V2,
-                rs: XReg::T0,
-            },
-            mem: None,
-            indirect_vreg: Some(VReg::new(20)),
-            branch_taken: false,
-            vl: 16,
-            sew: indexmac_isa::Sew::E32,
-        };
-        t.observe(&imac);
+        t.observe(&vindexmac_ev(VReg::V1, VReg::V2, VReg::new(20)));
         assert!(
             t.total_cycles() >= loaded_at,
             "vindexmac must wait for the loaded tile"
@@ -413,20 +212,8 @@ mod tests {
 
     #[test]
     fn v2s_move_couples_clocks() {
-        let mut t = InOrderScoreboard::new(cfg());
-        let mv = ExecEvent {
-            pc: 0,
-            instr: Instruction::VmvXs {
-                rd: XReg::T0,
-                vs2: VReg::V1,
-            },
-            mem: None,
-            indirect_vreg: None,
-            branch_taken: false,
-            vl: 16,
-            sew: indexmac_isa::Sew::E32,
-        };
-        t.observe(&mv);
+        let mut t = Timing::new(cfg());
+        t.observe(&vmv_x_s_ev(XReg::T0, VReg::V1));
         let sync = t.total_cycles();
         assert!(sync >= cfg().v2s_latency);
         // A scalar consumer of t0 waits for the transfer.
@@ -437,7 +224,7 @@ mod tests {
 
     #[test]
     fn load_queue_caps_outstanding_loads() {
-        let mut t = InOrderScoreboard::new(cfg());
+        let mut t = Timing::new(cfg());
         // Far more loads than queue entries, all to distinct cold lines.
         for i in 0..64 {
             t.observe(&vload_ev(VReg::new((i % 8) as u8), (i as u64) * 4096));
@@ -449,7 +236,7 @@ mod tests {
 
     #[test]
     fn engine_in_order_even_when_independent() {
-        let mut t = InOrderScoreboard::new(cfg());
+        let mut t = Timing::new(cfg());
         t.observe(&vmac_ev(VReg::V1, VReg::V2));
         let one = t.engine_busy_cycles();
         t.observe(&vmac_ev(VReg::V3, VReg::V4));
@@ -459,8 +246,8 @@ mod tests {
     #[test]
     fn eliminating_the_load_is_faster() {
         // Micro-version of the paper's claim: (load+mac) vs indexmac.
-        let mut with_load = InOrderScoreboard::new(cfg());
-        let mut without = InOrderScoreboard::new(cfg());
+        let mut with_load = Timing::new(cfg());
+        let mut without = Timing::new(cfg());
         // Warm the line so the comparison is an L2-hit comparison.
         with_load.observe(&vload_ev(VReg::V8, 0x100000));
         without.observe(&vload_ev(VReg::V8, 0x100000));
@@ -470,21 +257,7 @@ mod tests {
         for i in 0..32 {
             with_load.observe(&vload_ev(VReg::V5, 0x100000));
             with_load.observe(&vmac_ev(VReg::new((i % 4) as u8), VReg::V5));
-
-            let imac = ExecEvent {
-                pc: 0,
-                instr: Instruction::VindexmacVx {
-                    vd: VReg::new((i % 4) as u8),
-                    vs2: VReg::V6,
-                    rs: XReg::T0,
-                },
-                mem: None,
-                indirect_vreg: Some(VReg::V8),
-                branch_taken: false,
-                vl: 16,
-                sew: indexmac_isa::Sew::E32,
-            };
-            without.observe(&imac);
+            without.observe(&vindexmac_ev(VReg::new((i % 4) as u8), VReg::V6, VReg::V8));
         }
         assert!(
             with_load.total_cycles() > without.total_cycles(),
@@ -497,7 +270,7 @@ mod tests {
 
     #[test]
     fn class_counts_accumulate() {
-        let mut t = InOrderScoreboard::new(cfg());
+        let mut t = Timing::new(cfg());
         t.observe(&alu_ev(XReg::T0, XReg::ZERO));
         t.observe(&vload_ev(VReg::V1, 0));
         t.observe(&vmac_ev(VReg::V2, VReg::V1));
@@ -520,27 +293,10 @@ mod tests {
     fn rob_stall_advances_clock_and_reopens_vector_dispatch_budget() {
         let mut c = cfg();
         c.rob_entries = 2;
-        let mut t = InOrderScoreboard::new(c);
+        let mut t = Timing::new(c);
 
         // 1) Cold scalar load: retires only when DRAM answers.
-        t.observe(&ExecEvent {
-            pc: 0,
-            instr: Instruction::Lw {
-                rd: XReg::T0,
-                rs1: XReg::A0,
-                imm: 0,
-            },
-            mem: Some(MemOp {
-                addr: 0x4000,
-                bytes: 4,
-                write: false,
-                vector: false,
-            }),
-            indirect_vreg: None,
-            branch_taken: false,
-            vl: 16,
-            sew: indexmac_isa::Sew::E32,
-        });
+        t.observe(&load_ev(XReg::T0, 0x4000));
         let load_done = t.total_cycles();
         assert!(load_done > 10, "cold load reaches DRAM (got {load_done})");
         assert_eq!(t.rob_stall_cycles(), 0);

@@ -1,364 +1,98 @@
 //! An explicit in-order pipeline: fetch → decode → issue → execute →
-//! writeback, with per-stage hazard accounting.
+//! writeback.
 //!
-//! Where the [`super::InOrderScoreboard`] models issue as a flat
-//! scoreboard, this backend makes the pipeline depth visible: results
-//! only appear `FRONT_DEPTH` cycles after fetch, taken branches refill
-//! the whole front end (resolve-in-execute plus the redirect penalty
-//! plus the fetch/decode stages), a skid buffer bounds how far fetch
-//! may run ahead of a stalled issue stage, and every instruction spends
-//! one cycle in writeback. The per-stage stall counters ([`PipeStalls`])
-//! attribute every lost cycle to the stage that lost it.
+//! The issue stage is the in-order backend's ([`InOrder`]); this core
+//! adds only the pipeline depth around it: results appear `FRONT_DEPTH`
+//! cycles after fetch, taken branches refill the whole front end
+//! (resolve-in-execute plus the redirect penalty plus the fetch/decode
+//! stages), and every scalar instruction spends one cycle in writeback.
 
-use super::vector::VectorSide;
-use super::{ClassCounts, InstrTiming, TimingModel};
+use super::inorder::InOrder;
+use super::{InstrTiming, Shared};
 use crate::config::SimConfig;
 use crate::exec::ExecEvent;
-use indexmac_isa::{InstrClass, Instruction};
-use indexmac_mem::MemoryHierarchy;
-use std::collections::VecDeque;
+use indexmac_isa::InstrClass;
 
 /// Pipeline stages ahead of issue (fetch + decode).
 const FRONT_DEPTH: u64 = 2;
-/// Decode-buffer slots that let fetch run ahead of a stalled issue.
-const SKID: u64 = 2;
 /// Writeback-stage occupancy per instruction.
 const WB_STAGE: u64 = 1;
 
-/// Per-stage hazard-stall cycle counters of the [`Pipelined`] backend.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PipeStalls {
-    /// Fetch bubbles from taken-branch redirects (resolve + penalty +
-    /// front-end refill).
-    pub fetch: u64,
-    /// Decode back-pressure: cycles fetch was held back by a stalled
-    /// issue stage once the skid buffer filled.
-    pub decode: u64,
-    /// Issue-stage stalls: operand (RAW) waits, issue-width exhaustion
-    /// and in-flight-window (ROB) waits beyond the front-end hand-off.
-    pub issue: u64,
-    /// Execute-stage waits of vector instructions: decoupling-queue
-    /// back-pressure and in-order engine/operand waits.
-    pub execute: u64,
-    /// Writeback-stage occupancy (one cycle per instruction).
-    pub writeback: u64,
-}
-
-/// The explicit five-stage in-order pipeline backend.
+/// The five-stage in-order pipeline: an `issue_width`-wide front end in
+/// front of the in-order issue stage.
 #[derive(Debug, Clone)]
-pub struct Pipelined {
-    cfg: SimConfig,
-    hier: MemoryHierarchy,
-
-    // Front end.
+pub(super) struct Pipelined {
     fetch_cycle: u64,
     fetched_in_cycle: u32,
-
-    // Issue stage (in-order, scoreboarded).
-    x_ready: [u64; 32],
-    f_ready: [u64; 32],
-    issue_cycle: u64,
-    issued_in_cycle: u32,
-    vdispatched_in_cycle: u32,
-    rob: VecDeque<u64>,
-
-    // Vector engine.
-    vec: VectorSide,
-
-    // Counters.
-    counts: ClassCounts,
-    rob_stall_cycles: u64,
-    last_completion: u64,
-    stalls: PipeStalls,
+    issue: InOrder,
 }
 
 impl Pipelined {
-    /// Builds a fresh model for `cfg` (cold caches, empty pipeline).
-    pub fn new(cfg: SimConfig) -> Self {
+    pub fn new(cfg: &SimConfig) -> Self {
         Self {
-            cfg,
-            hier: MemoryHierarchy::new(cfg.hierarchy),
             fetch_cycle: 0,
             fetched_in_cycle: 0,
-            x_ready: [0; 32],
-            f_ready: [0; 32],
-            issue_cycle: 0,
-            issued_in_cycle: 0,
-            vdispatched_in_cycle: 0,
-            rob: VecDeque::with_capacity(cfg.rob_entries),
-            vec: VectorSide::new(cfg),
-            counts: ClassCounts::default(),
-            rob_stall_cycles: 0,
-            last_completion: 0,
-            stalls: PipeStalls::default(),
+            issue: InOrder::new(cfg),
         }
     }
 
-    /// Per-stage stall-cycle attribution.
-    pub fn stage_stalls(&self) -> PipeStalls {
-        self.stalls
+    /// The later of the fetch and issue clocks.
+    pub fn clock(&self) -> u64 {
+        self.fetch_cycle.max(self.issue.clock())
     }
 
-    /// Single cycle-advance point of the issue stage (mirrors
-    /// `InOrderScoreboard::advance_issue_cycle`): the per-cycle issue
-    /// and vector-dispatch budgets always reopen together with the
-    /// clock.
-    fn advance_issue_cycle(&mut self, cycle: u64) {
-        debug_assert!(cycle >= self.issue_cycle, "issue clock runs forward");
-        self.issue_cycle = cycle;
-        self.issued_in_cycle = 0;
-        self.vdispatched_in_cycle = 0;
-    }
-
-    fn note_completion(&mut self, c: u64) {
-        if c > self.last_completion {
-            self.last_completion = c;
-        }
-    }
-
-    /// Applies scalar writeback: results bypass to consumers as the
-    /// execute stage produces them (`exec_done`), while architectural
-    /// completion is one writeback stage later.
-    fn writeback_scalar(&mut self, ev: &ExecEvent, exec_done: u64) -> u64 {
-        if let Some(rd) = ev.instr.x_dst() {
-            self.x_ready[rd.index() as usize] = exec_done;
-        }
-        if let Some(fd) = ev.instr.f_dst() {
-            self.f_ready[fd.index() as usize] = exec_done;
-        }
-        self.stalls.writeback += WB_STAGE;
-        exec_done + WB_STAGE
-    }
-}
-
-impl TimingModel for Pipelined {
-    fn observe(&mut self, ev: &ExecEvent) -> InstrTiming {
-        let class = ev.instr.class();
-        self.counts.bump(class);
-
+    pub fn observe(&mut self, m: &mut Shared, ev: &ExecEvent, class: InstrClass) -> InstrTiming {
         // ---- fetch & decode (in-order, issue_width wide) ----
-        if self.fetched_in_cycle >= self.cfg.issue_width {
+        if self.fetched_in_cycle >= m.cfg.issue_width {
             self.fetch_cycle += 1;
             self.fetched_in_cycle = 0;
         }
-        let fetch_at = self.fetch_cycle;
         self.fetched_in_cycle += 1;
         // Earliest possible issue: the instruction leaves decode.
-        let decode_ready = fetch_at + FRONT_DEPTH;
+        let ready = (self.fetch_cycle + FRONT_DEPTH).max(m.regs.ready(ev));
 
-        // ---- issue stage: operand readiness (full bypass network) ----
-        let mut ready = decode_ready;
-        for src in ev.instr.x_srcs().into_iter().flatten() {
-            ready = ready.max(self.x_ready[src.index() as usize]);
-        }
-        if let Some(fsrc) = ev.instr.f_src() {
-            ready = ready.max(self.f_ready[fsrc.index() as usize]);
-        }
-
-        // ---- in-flight window (in-order retire) ----
-        let mut issue_at = ready.max(self.issue_cycle);
-        while self.rob.len() >= self.cfg.rob_entries {
-            let oldest = self.rob.pop_front().expect("rob non-empty");
-            if oldest > issue_at {
-                self.rob_stall_cycles += oldest - issue_at;
-                issue_at = oldest;
-                self.advance_issue_cycle(oldest);
-            }
-        }
-
-        // ---- issue-slot accounting ----
-        if issue_at > self.issue_cycle {
-            self.advance_issue_cycle(issue_at);
-        }
-        if self.issued_in_cycle >= self.cfg.issue_width
-            || (class.is_vector() && self.vdispatched_in_cycle >= self.cfg.vdispatch_per_cycle)
-        {
-            self.advance_issue_cycle(self.issue_cycle + 1);
-        }
-        let issue_at = self.issue_cycle;
-        self.issued_in_cycle += 1;
-        if class.is_vector() {
-            self.vdispatched_in_cycle += 1;
-        }
-        // Everything the instruction lost past leaving decode is an
-        // issue-stage hazard (RAW wait, width, window).
-        self.stalls.issue += issue_at - decode_ready;
-        // Fetch may run ahead of a stalled issue only by the skid
-        // buffer; beyond that decode back-pressures fetch.
-        let fetch_floor = issue_at.saturating_sub(FRONT_DEPTH + SKID);
-        if fetch_floor > self.fetch_cycle {
-            self.stalls.decode += fetch_floor - self.fetch_cycle;
-            self.fetch_cycle = fetch_floor;
+        let t = self.issue.issue(m, ev, class, ready, WB_STAGE);
+        if class == InstrClass::ControlFlow && ev.branch_taken {
+            // The branch resolves in execute; the redirect then refills
+            // fetch *and* decode, so the next instruction issues a full
+            // front end later.
+            self.fetch_cycle = t.issue_at + 1 + m.cfg.branch_taken_penalty;
             self.fetched_in_cycle = 0;
         }
-
-        // ---- execute / writeback by class ----
-        let (start, rob_completion, result_at) = if class.is_vector() {
-            if class == InstrClass::VConfig {
-                // vsetvli resolves in execute; the granted vl bypasses.
-                let completion = self.writeback_scalar(ev, issue_at + 1);
-                (issue_at, completion, completion)
-            } else {
-                let out = self.vec.run(&mut self.hier, ev, class, issue_at);
-                if out.dispatch > self.issue_cycle {
-                    // Decoupling-queue back-pressure blocks the issue
-                    // stage itself.
-                    self.stalls.execute += out.dispatch - issue_at;
-                    self.advance_issue_cycle(out.dispatch);
-                }
-                // In-order engine/operand wait inside the vector side.
-                self.stalls.execute += out.start - out.dispatch;
-                if let Some((rd, at)) = out.x_write {
-                    self.x_ready[rd.index() as usize] = at;
-                }
-                if let Some((fd, at)) = out.f_write {
-                    self.f_ready[fd.index() as usize] = at;
-                }
-                self.note_completion(out.result_at);
-                (out.start, out.rob_completion, out.result_at)
-            }
-        } else {
-            let exec_done = match class {
-                InstrClass::ScalarAlu => {
-                    let lat = if matches!(ev.instr, Instruction::Mul { .. }) {
-                        self.cfg.mul_latency
-                    } else {
-                        self.cfg.alu_latency
-                    };
-                    issue_at + lat
-                }
-                InstrClass::ScalarLoad => {
-                    let m = ev.mem.expect("scalar load carries a memory op");
-                    let lat = self.hier.scalar_read(m.addr, m.bytes, issue_at);
-                    issue_at + lat
-                }
-                InstrClass::ScalarStore => {
-                    let m = ev.mem.expect("scalar store carries a memory op");
-                    let _drain = self.hier.scalar_write(m.addr, m.bytes, issue_at);
-                    // Stores commit from the store buffer off the
-                    // critical path.
-                    issue_at + 1
-                }
-                InstrClass::ControlFlow => {
-                    if ev.branch_taken {
-                        // The branch resolves in execute; the redirect
-                        // then refills fetch *and* decode, so the next
-                        // instruction issues a full front end later.
-                        let refetch = issue_at + 1 + self.cfg.branch_taken_penalty;
-                        self.stalls.fetch += refetch.saturating_sub(self.fetch_cycle);
-                        self.fetch_cycle = refetch;
-                        self.fetched_in_cycle = 0;
-                    }
-                    issue_at + 1
-                }
-                InstrClass::System => issue_at + 1,
-                _ => unreachable!("vector class routed to the scalar pipe"),
-            };
-            let completion = self.writeback_scalar(ev, exec_done);
-            (issue_at, completion, completion)
-        };
-
-        self.rob.push_back(rob_completion);
-        self.note_completion(rob_completion);
-        InstrTiming {
-            issue_at,
-            start,
-            completion: result_at,
-        }
-    }
-
-    fn config(&self) -> &SimConfig {
-        &self.cfg
-    }
-
-    fn hierarchy(&self) -> &MemoryHierarchy {
-        &self.hier
-    }
-
-    fn counts(&self) -> ClassCounts {
-        self.counts
-    }
-
-    fn engine_busy_cycles(&self) -> u64 {
-        self.vec.engine_busy()
-    }
-
-    fn vq_stall_cycles(&self) -> u64 {
-        self.vec.vq_stall_cycles()
-    }
-
-    fn rob_stall_cycles(&self) -> u64 {
-        self.rob_stall_cycles
-    }
-
-    fn v2s_syncs(&self) -> u64 {
-        self.vec.v2s_syncs()
-    }
-
-    fn total_cycles(&self) -> u64 {
-        self.fetch_cycle
-            .max(self.issue_cycle)
-            .max(self.vec.engine_free())
-            .max(self.last_completion)
+        t
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::InOrderScoreboard;
+    use super::super::tests::{alu_ev, branch_ev, cfg, vmac_ev};
+    use super::super::Timing;
     use super::*;
+    use crate::config::TimingKind;
     use indexmac_isa::{VReg, XReg};
 
-    fn cfg() -> SimConfig {
-        SimConfig::table_i()
-    }
-
-    fn alu_ev(rd: XReg, rs1: XReg) -> ExecEvent {
-        ExecEvent {
-            pc: 0,
-            instr: Instruction::Addi { rd, rs1, imm: 1 },
-            mem: None,
-            indirect_vreg: None,
-            branch_taken: false,
-            vl: 16,
-            sew: indexmac_isa::Sew::E32,
-        }
-    }
-
-    fn branch_ev(taken: bool) -> ExecEvent {
-        ExecEvent {
-            pc: 0,
-            instr: Instruction::Bne {
-                rs1: XReg::ZERO,
-                rs2: XReg::T0,
-                offset: -1,
-            },
-            mem: None,
-            indirect_vreg: None,
-            branch_taken: taken,
-            vl: 16,
-            sew: indexmac_isa::Sew::E32,
-        }
+    fn pipelined() -> Timing {
+        Timing::new(cfg().with_timing(TimingKind::Pipelined))
     }
 
     #[test]
     fn pipeline_depth_delays_first_result() {
-        let mut t = Pipelined::new(cfg());
+        let mut t = pipelined();
         let timing = t.observe(&alu_ev(XReg::T0, XReg::ZERO));
         // Fetch at 0, decode, issue at FRONT_DEPTH, execute 1 cycle,
         // writeback 1 cycle.
         assert_eq!(timing.issue_at, FRONT_DEPTH);
         assert_eq!(timing.completion, FRONT_DEPTH + 1 + WB_STAGE);
         // The scoreboard finishes the same instruction sooner.
-        let mut flat = InOrderScoreboard::new(cfg());
+        let mut flat = Timing::new(cfg());
         assert!(flat.observe(&alu_ev(XReg::T0, XReg::ZERO)).completion < timing.completion);
     }
 
     #[test]
     fn taken_branch_refills_the_front_end() {
-        let mut pipe = Pipelined::new(cfg());
-        let mut flat = InOrderScoreboard::new(cfg());
-        for t in [&mut pipe as &mut dyn TimingModel, &mut flat] {
+        let mut pipe = pipelined();
+        let mut flat = Timing::new(cfg());
+        for t in [&mut pipe, &mut flat] {
             t.observe(&branch_ev(true));
             t.observe(&alu_ev(XReg::T1, XReg::ZERO));
         }
@@ -370,79 +104,36 @@ mod tests {
             pipe.total_cycles(),
             flat.total_cycles()
         );
-        assert!(pipe.stage_stalls().fetch > 0);
         // Untaken branches cost nothing extra in fetch.
-        let mut quiet = Pipelined::new(cfg());
+        let mut quiet = pipelined();
         quiet.observe(&branch_ev(false));
-        assert_eq!(quiet.stage_stalls().fetch, 0);
+        assert_eq!(
+            quiet.observe(&alu_ev(XReg::T1, XReg::ZERO)).issue_at,
+            FRONT_DEPTH
+        );
     }
 
     #[test]
-    fn raw_hazard_counts_as_issue_stall() {
-        let mut t = Pipelined::new(cfg());
-        // A long dependent chain through one register.
+    fn raw_hazard_serialises_through_the_bypass() {
+        let mut t = pipelined();
+        // A dependent chain through one register: each op issues the
+        // cycle its producer leaves execute, not after its writeback.
+        let mut last = None;
         for _ in 0..8 {
-            t.observe(&alu_ev(XReg::T0, XReg::T0));
+            last = Some(t.observe(&alu_ev(XReg::T0, XReg::T0)));
         }
-        let stalls = t.stage_stalls();
-        assert!(stalls.issue > 0, "dependent chain must stall issue");
-        assert_eq!(stalls.writeback, 8 * WB_STAGE);
-    }
-
-    #[test]
-    fn skid_buffer_limits_fetch_runahead() {
-        let mut t = Pipelined::new(cfg());
-        let mut c = cfg();
-        c.rob_entries = 4;
-        let mut small = Pipelined::new(c);
-        // A slow cold load followed by dependent work: the small window
-        // forces issue stalls that back-pressure fetch through decode.
-        let ld = ExecEvent {
-            pc: 0,
-            instr: Instruction::Lw {
-                rd: XReg::T0,
-                rs1: XReg::A0,
-                imm: 0,
-            },
-            mem: Some(crate::exec::MemOp {
-                addr: 0x8000,
-                bytes: 4,
-                write: false,
-                vector: false,
-            }),
-            indirect_vreg: None,
-            branch_taken: false,
-            vl: 16,
-            sew: indexmac_isa::Sew::E32,
-        };
-        for m in [&mut t, &mut small] {
-            m.observe(&ld);
-            for _ in 0..16 {
-                m.observe(&alu_ev(XReg::T1, XReg::T0));
-            }
-        }
-        assert!(small.stage_stalls().decode > 0, "fetch must be held back");
+        let last = last.expect("chain observed");
+        assert_eq!(last.issue_at, FRONT_DEPTH + 7);
+        assert_eq!(last.completion, FRONT_DEPTH + 8 + WB_STAGE);
     }
 
     #[test]
     fn vector_stream_matches_scoreboard_engine_accounting() {
         // The engine model is shared: busy cycles, v2s syncs and memory
         // traffic agree with the scoreboard on a vector-only stream.
-        let mut pipe = Pipelined::new(cfg());
-        let mut flat = InOrderScoreboard::new(cfg());
-        let vmac = ExecEvent {
-            pc: 0,
-            instr: Instruction::VfmaccVf {
-                vd: VReg::V1,
-                fs1: indexmac_isa::instr::FReg::F0,
-                vs2: VReg::V2,
-            },
-            mem: None,
-            indirect_vreg: None,
-            branch_taken: false,
-            vl: 16,
-            sew: indexmac_isa::Sew::E32,
-        };
+        let mut pipe = pipelined();
+        let mut flat = Timing::new(cfg());
+        let vmac = vmac_ev(VReg::V1, VReg::V2);
         for _ in 0..10 {
             pipe.observe(&vmac);
             flat.observe(&vmac);

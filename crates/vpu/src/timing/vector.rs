@@ -1,17 +1,14 @@
 //! The decoupled vector engine shared by every timing backend.
 //!
-//! Extracting the engine into one struct is what makes the backends
-//! *interchangeable* rather than merely parallel: instruction counts,
-//! memory traffic, queue behaviour and the vector-to-scalar coupling
-//! cost are computed by exactly this code under every
-//! [`crate::config::TimingKind`], so switching backends can only move
-//! scalar-side cycle accounting.
+//! Instruction counts, memory traffic, queue behaviour and the
+//! vector-to-scalar coupling cost are computed by exactly this code
+//! under every [`crate::config::TimingKind`], so switching backends can
+//! only move scalar-side cycle accounting.
 
 use super::vecdeque_window;
 use crate::config::SimConfig;
 use crate::exec::ExecEvent;
-use indexmac_isa::instr::FReg;
-use indexmac_isa::{InstrClass, Instruction, VReg, XReg};
+use indexmac_isa::{InstrClass, Instruction, VReg};
 use indexmac_mem::MemoryHierarchy;
 use std::collections::VecDeque;
 
@@ -32,10 +29,9 @@ pub(super) struct VectorOutcome {
     /// cycle the scalar core handed the instruction over, the core was
     /// blocked and must advance its own clock to match.
     pub dispatch: u64,
-    /// Scalar integer writeback (`vmv.x.s`), applied by the backend.
-    pub x_write: Option<(XReg, u64)>,
-    /// Scalar floating-point writeback (`vfmv.f.s`).
-    pub f_write: Option<(FReg, u64)>,
+    /// Cycle a vector-to-scalar move (`vmv.x.s`, `vfmv.f.s`) delivers
+    /// its value to the scalar core; the caller writes it back.
+    pub scalar_at: Option<u64>,
 }
 
 /// The decoupled vector engine: a bounded decoupling queue fed by the
@@ -45,14 +41,18 @@ pub(super) struct VectorOutcome {
 #[derive(Debug, Clone)]
 pub(super) struct VectorSide {
     cfg: SimConfig,
-    engine_free: u64,
+    /// Cycle the engine is free to start its next instruction.
+    pub engine_free: u64,
     v_ready: [u64; 32],
     vq_starts: VecDeque<u64>,
     lq: VecDeque<u64>,
     sq: VecDeque<u64>,
-    engine_busy: u64,
-    vq_stall_cycles: u64,
-    v2s_syncs: u64,
+    /// Cycles the engine spent occupied.
+    pub engine_busy: u64,
+    /// Cycles the scalar core stalled on a full decoupling queue.
+    pub vq_stall_cycles: u64,
+    /// Vector-to-scalar synchronisations.
+    pub v2s_syncs: u64,
 }
 
 impl VectorSide {
@@ -68,22 +68,6 @@ impl VectorSide {
             vq_stall_cycles: 0,
             v2s_syncs: 0,
         }
-    }
-
-    pub fn engine_free(&self) -> u64 {
-        self.engine_free
-    }
-
-    pub fn engine_busy(&self) -> u64 {
-        self.engine_busy
-    }
-
-    pub fn vq_stall_cycles(&self) -> u64 {
-        self.vq_stall_cycles
-    }
-
-    pub fn v2s_syncs(&self) -> u64 {
-        self.v2s_syncs
     }
 
     /// Latest ready time across a register group of `regs` registers.
@@ -156,8 +140,7 @@ impl VectorSide {
         }
 
         let occ = self.cfg.occupancy_sew(ev.vl, ev.sew);
-        let mut x_write = None;
-        let mut f_write = None;
+        let mut scalar_at = None;
         let (rob_completion, result_at) = match class {
             InstrClass::VLoad => {
                 // Load-queue entry (16 outstanding, Table I).
@@ -191,14 +174,9 @@ impl VectorSide {
                 self.engine_free = start + 1;
                 self.engine_busy += 1;
                 self.v2s_syncs += 1;
-                let scalar_at = start + 1 + self.cfg.v2s_latency;
-                if let Some(rd) = ev.instr.x_dst() {
-                    x_write = Some((rd, scalar_at));
-                }
-                if let Some(fd) = ev.instr.f_dst() {
-                    f_write = Some((fd, scalar_at));
-                }
-                (scalar_at, scalar_at)
+                let at = start + 1 + self.cfg.v2s_latency;
+                scalar_at = Some(at);
+                (at, at)
             }
             InstrClass::VArith
             | InstrClass::VSlide
@@ -225,8 +203,7 @@ impl VectorSide {
             rob_completion,
             result_at,
             dispatch,
-            x_write,
-            f_write,
+            scalar_at,
         }
     }
 }

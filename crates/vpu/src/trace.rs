@@ -8,7 +8,7 @@
 use crate::config::SimConfig;
 use crate::engine::Observer;
 use crate::exec::ExecEvent;
-use crate::timing::{AnyTimingModel, InstrTiming, TimingModel};
+use crate::timing::{InstrTiming, Timing};
 use indexmac_isa::{InstrClass, Instruction};
 use std::fmt;
 
@@ -144,7 +144,7 @@ impl fmt::Display for Trace {
 /// engine loop over.
 #[derive(Debug, Clone)]
 pub struct TraceObserver {
-    timing: AnyTimingModel,
+    timing: Timing,
     trace: Trace,
 }
 
@@ -153,18 +153,18 @@ impl TraceObserver {
     /// timed under the backend `cfg.timing` selects.
     pub fn new(cfg: SimConfig, trace_cap: usize) -> Self {
         Self {
-            timing: AnyTimingModel::new(cfg),
+            timing: Timing::new(cfg),
             trace: Trace::new(trace_cap),
         }
     }
 
     /// The accumulated timing model.
-    pub fn timing(&self) -> &AnyTimingModel {
+    pub fn timing(&self) -> &Timing {
         &self.timing
     }
 
     /// Consumes the observer, yielding the model and the trace.
-    pub fn into_parts(self) -> (AnyTimingModel, Trace) {
+    pub fn into_parts(self) -> (Timing, Trace) {
         (self.timing, self.trace)
     }
 }

@@ -1,30 +1,30 @@
-//! Cross-backend timing invariants: for random valid programs, every
-//! timing backend (in-order scoreboard, pipelined, out-of-order) must
-//! satisfy the [`indexmac_vpu::TimingModel`] contract event-by-event,
-//! and the backends must agree on everything that is *not* timing —
+//! Cross-backend timing invariants: for random valid programs and
+//! random ROB and vector-queue sizes, every scalar core of
+//! [`indexmac_vpu::Timing`] (in-order scoreboard, pipelined,
+//! out-of-order) must keep the model's invariants event by event, and
+//! the backends must agree on everything that is *not* timing —
 //! instret, per-class counts, memory traffic.
 //!
-//! These are the properties the `TimingModel` trait documents:
+//! These are the properties the `Timing` module documents:
 //!
 //! * per event: `completion >= start >= issue_at`;
 //! * `total_cycles()` is monotone non-decreasing across events;
 //! * `engine_busy_cycles() <= total_cycles()`;
+//! * `rob_stall_cycles() + vq_stall_cycles() <= total_cycles()` — each
+//!   stalled cycle is a cycle of the run, counted once;
 //! * instret and [`indexmac_vpu::ClassCounts`] are backend-invariant;
 //! * `counts().total()` equals the number of events observed.
 
 mod common;
 
 use common::{instr_strategy, program_from};
-use indexmac_vpu::{
-    AnyTimingModel, DecodedProgram, ExecEvent, Observer, SimConfig, Simulator, TimingKind,
-    TimingModel,
-};
+use indexmac_vpu::{DecodedProgram, ExecEvent, Observer, SimConfig, Simulator, Timing, TimingKind};
 use proptest::prelude::*;
 
-/// An [`Observer`] that checks the per-event trait invariants as the
-/// stream flows through, then exposes the finished model.
+/// An [`Observer`] that checks the per-event invariants as the stream
+/// flows through, then exposes the finished model.
 struct InvariantObserver {
-    model: AnyTimingModel,
+    model: Timing,
     events: u64,
     last_total: u64,
 }
@@ -32,7 +32,7 @@ struct InvariantObserver {
 impl InvariantObserver {
     fn new(cfg: SimConfig) -> Self {
         Self {
-            model: AnyTimingModel::new(cfg),
+            model: Timing::new(cfg),
             events: 0,
             last_total: 0,
         }
@@ -73,23 +73,30 @@ impl Observer for InvariantObserver {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Every backend satisfies the per-event and whole-run trait
-    /// invariants on random programs, and the backend-invariant
+    /// Every backend satisfies the per-event and whole-run invariants
+    /// on random programs and window sizes, and the backend-invariant
     /// quantities agree bit-for-bit across all three.
     #[test]
     fn backends_satisfy_timing_invariants(
         instrs in prop::collection::vec(instr_strategy(), 1..160),
+        rob_entries in 2usize..64,
+        vq_depth in 1usize..8,
     ) {
         let program = DecodedProgram::decode(&program_from(&instrs));
         let mut runs = Vec::new();
         for kind in TimingKind::ALL {
-            let cfg = SimConfig::table_i().with_timing(kind);
+            let cfg = SimConfig {
+                rob_entries,
+                vq_depth,
+                ..SimConfig::table_i().with_timing(kind)
+            };
             let mut sim = Simulator::new(cfg);
             let mut obs = InvariantObserver::new(cfg);
             let instret = sim
                 .run_decoded_with(&program, &mut obs)
                 .expect("generated programs are valid");
-            let counts = obs.model.counts();
+            let m = &obs.model;
+            let counts = m.counts();
             prop_assert_eq!(
                 counts.total(),
                 obs.events,
@@ -98,11 +105,19 @@ proptest! {
             );
             prop_assert_eq!(counts.total(), instret, "{}: counts.total() != instret", kind);
             prop_assert!(
-                obs.model.engine_busy_cycles() <= obs.model.total_cycles(),
+                m.engine_busy_cycles() <= m.total_cycles(),
                 "{}: engine busy {} > total {}",
                 kind,
-                obs.model.engine_busy_cycles(),
-                obs.model.total_cycles()
+                m.engine_busy_cycles(),
+                m.total_cycles()
+            );
+            prop_assert!(
+                m.rob_stall_cycles() + m.vq_stall_cycles() <= m.total_cycles(),
+                "{}: rob stall {} + vq stall {} > total {}",
+                kind,
+                m.rob_stall_cycles(),
+                m.vq_stall_cycles(),
+                m.total_cycles()
             );
             runs.push((kind, instret, obs));
         }
