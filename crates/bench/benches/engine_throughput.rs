@@ -1,18 +1,26 @@
 //! Throughput of the decode-once execution engine vs the legacy
-//! interpret-per-step loop — the perf trajectory's first data points.
+//! interpret-per-step loop, and of the timed run every result comes
+//! from.
 //!
 //! Two measurements, both emitted to `BENCH_engine.json`:
 //!
-//! * **instructions/sec** — `run_functional` of the pinned BERT-FFN
-//!   kernel (`3072x768x128`, the heaviest transformer shape; the e8
-//!   quantized row and the f32 `m2` row of the transformer campaign),
-//!   through the legacy stepwise oracle, the decoded engine's per-µop
-//!   loop, and the trace-compiled path (the static analyzer proves the
-//!   kernel fault-free against the layout contract and mints a
-//!   [`Verified`] token; the fused steady-state blocks then run as
-//!   native batched lane loops). The acceptance bar: a ≥2× wall-clock
-//!   win for the decoded engine over the stepwise loop on the e8 row.
-//!   The trace speedup is reported over the per-µop loop.
+//! * **instructions/sec** — per kernel row: `run_functional` through
+//!   the legacy stepwise oracle, the decoded engine's per-µop loop, and
+//!   the trace-compiled path (the static analyzer proves the kernel
+//!   fault-free against the layout contract and mints a [`Verified`]
+//!   token; the fused steady-state blocks then run as native batched
+//!   lane loops), plus the **timed** run (`run_decoded` under the
+//!   `Timing` model, which records events and times them in batches) —
+//!   the path `gemm`, `model`, `sweep` and `serve` take. The rows are
+//!   the pinned BERT-FFN `vindexmac.vvi` kernel (`3072x768x128`, the
+//!   heaviest transformer shape; the e8 quantized row and the f32 `m2`
+//!   row of the transformer campaign) and the f32 Row-Wise-SpMM /
+//!   `vindexmac.vx` pair of the ResNet50 Fig. 4a campaign on
+//!   `layer2.0.conv2` at the campaign's eval caps. The acceptance bar:
+//!   a ≥2× wall-clock win for the decoded engine over the stepwise loop
+//!   on the e8 row. The trace speedup is reported over the per-µop
+//!   loop. Each row also counts the static slots that fall back to the
+//!   oracle (0 on every shipped kernel).
 //! * **cells/sec** — a warm sweep: the same grid swept twice through
 //!   `indexmac::sweep::run_cells` inside a one-thread pool, so both
 //!   passes run on the bench thread, the second entirely against its
@@ -24,14 +32,18 @@
 //! runs lazily (forced here through `traced_uops()`; timed runs never
 //! build the traces).
 //!
-//! `INDEXMAC_PROFILE=smoke` caps the GEMM (CI); `default`/`full` run
-//! the uncapped pinned shape.
+//! `INDEXMAC_PROFILE=smoke` caps the GEMMs (CI); `default`/`full` run
+//! the uncapped pinned BERT-FFN shape and the eval-capped ResNet50
+//! layer.
 
 use indexmac::experiment::{decode_cache_stats, reset_decode_cache, ExperimentConfig, Precision};
-use indexmac::kernels::{indexmac2, GemmDims, GemmLayout, KernelParams};
+use indexmac::isa::Program;
+use indexmac::kernels::indexmac as indexmac_vx;
+use indexmac::kernels::{indexmac2, rowwise, verify, GemmDims, GemmLayout, KernelParams};
+use indexmac::models::{resnet50, GemmCaps};
 use indexmac::sparse::{prune, quant, DenseMatrix, NmPattern, StructuredSparseMatrix};
 use indexmac::sweep::{run_cells, SweepGrid};
-use indexmac::vpu::{analyze_with_contract, DecodedProgram, NullObserver, SimConfig, Simulator};
+use indexmac::vpu::{DecodedProgram, NullObserver, SimConfig, Simulator};
 use indexmac_bench::{banner, Profile};
 use serde::{Serialize, Value};
 use std::time::Instant;
@@ -56,6 +68,8 @@ struct Row {
     legacy_ns: f64,
     decoded_ns: f64,
     traced_ns: f64,
+    timed_ns: f64,
+    oracle_fallback_slots: usize,
     fused_runs: usize,
     fused_uops: usize,
     traces: usize,
@@ -103,6 +117,11 @@ impl Row {
             ("legacy_run_ns", self.legacy_ns.to_value()),
             ("decoded_run_ns", self.decoded_ns.to_value()),
             ("traced_run_ns", self.traced_ns.to_value()),
+            ("timed_run_ns", self.timed_ns.to_value()),
+            (
+                "oracle_fallback_slots",
+                self.oracle_fallback_slots.to_value(),
+            ),
             ("fused_runs", self.fused_runs.to_value()),
             ("fused_uops", self.fused_uops.to_value()),
             ("fused_coverage", self.fused_coverage().to_value()),
@@ -121,6 +140,10 @@ impl Row {
                 "traced_instructions_per_sec",
                 self.ips(self.traced_ns).to_value(),
             ),
+            (
+                "timed_instructions_per_sec",
+                self.ips(self.timed_ns).to_value(),
+            ),
             ("speedup", self.speedup().to_value()),
             (
                 "trace_speedup_over_decoded",
@@ -130,15 +153,25 @@ impl Row {
     }
 }
 
-/// Builds the pinned-shape `vindexmac.vvi` kernel at one precision and
-/// measures `run_functional` through each execution path.
-fn measure_row(
+/// One kernel to measure: the program, its planned layout and the
+/// operands it runs on.
+struct Kernel {
+    label: &'static str,
+    precision: Precision,
+    dims: GemmDims,
+    layout: GemmLayout,
+    program: Program,
+    a: StructuredSparseMatrix,
+    b: DenseMatrix,
+}
+
+/// The pinned-shape `vindexmac.vvi` kernel at one precision.
+fn vvi_kernel(
     label: &'static str,
     precision: Precision,
     requested_lmul: usize,
     caps_dims: GemmDims,
-    iters: u32,
-) -> Row {
+) -> Kernel {
     let sim_cfg = SimConfig::table_i();
     let pattern = NmPattern::P1_4;
     let seed = 0xE16E_2026u64;
@@ -164,7 +197,66 @@ fn measure_row(
         ..KernelParams::default()
     };
     let program = indexmac2::build(&layout, &params).expect("pinned kernel builds");
+    Kernel {
+        label,
+        precision,
+        dims: caps_dims,
+        layout,
+        program,
+        a,
+        b,
+    }
+}
 
+/// One side of the ResNet50 Fig. 4a campaign's f32 pair, Row-Wise-SpMM
+/// (`vx == false`) or `vindexmac.vx`, on `layer2.0.conv2` under `caps`,
+/// planned and seeded as `compare_gemm` plans the cell.
+fn campaign_kernel(label: &'static str, vx: bool, caps: GemmCaps) -> Kernel {
+    let cfg = ExperimentConfig::paper();
+    let layer = resnet50();
+    let dims = caps.apply(
+        layer
+            .layer("layer2.0.conv2")
+            .expect("ResNet50 has layer2.0.conv2")
+            .gemm,
+    );
+    let a = prune::random_structured(dims.rows, dims.inner, NmPattern::P1_4, cfg.seed);
+    let b = DenseMatrix::random(dims.inner, dims.cols, cfg.seed.wrapping_add(1));
+    let layout = GemmLayout::plan_elem(&a, dims.cols, &cfg.sim, cfg.tile_rows, 1, cfg.precision)
+        .expect("campaign layout plans");
+    let program = if vx {
+        let params = KernelParams {
+            unroll: cfg.params.unroll.min(indexmac_vx::max_unroll(&layout)),
+            ..cfg.params
+        };
+        indexmac_vx::build(&layout, &params)
+    } else {
+        rowwise::build(&layout, &cfg.params)
+    }
+    .expect("campaign kernel builds");
+    Kernel {
+        label,
+        precision: cfg.precision,
+        dims,
+        layout,
+        program,
+        a,
+        b,
+    }
+}
+
+/// Measures one kernel through each execution path.
+fn measure_row(kernel: Kernel, iters: u32) -> Row {
+    let Kernel {
+        label,
+        precision,
+        dims,
+        layout,
+        program,
+        a,
+        b,
+    } = kernel;
+    let sim_cfg = SimConfig::table_i();
     let t0 = Instant::now();
     let decoded = DecodedProgram::decode(&program);
     let decode_ms = t0.elapsed().as_secs_f64() * 1e3;
@@ -175,10 +267,9 @@ fn measure_row(
     // Static analysis is a one-time cost like decoding: prove the
     // kernel fault-free against the layout contract, mint the token.
     let t0 = Instant::now();
-    let vlen_bits = layout.vl * layout.elem.bits();
-    let token = analyze_with_contract(&decoded, vlen_bits, Some(&layout.analysis_contract()))
+    let token = verify::analyze_kernel(&decoded, &layout, &sim_cfg)
         .verified()
-        .expect("pinned kernel analyzes clean");
+        .expect("kernel analyzes clean");
     let analyze_ms = t0.elapsed().as_secs_f64() * 1e3;
 
     let mut sim = Simulator::new(sim_cfg);
@@ -188,9 +279,9 @@ fn measure_row(
     // differential suite).
     let instructions = sim
         .run_functional_decoded(&decoded)
-        .expect("pinned kernel executes");
+        .expect("kernel executes");
 
-    // The three paths are interleaved within each iteration (rather
+    // The four paths are interleaved within each iteration (rather
     // than measured in back-to-back blocks) so slow drift of the
     // host — CPU frequency, steal time — lands on all of them equally.
     // Each path reports its *minimum* over the iterations: on a shared
@@ -200,6 +291,7 @@ fn measure_row(
     let mut legacy_s = f64::INFINITY;
     let mut decoded_s = f64::INFINITY;
     let mut traced_s = f64::INFINITY;
+    let mut timed_s = f64::INFINITY;
     for _ in 0..iters {
         let t = Instant::now();
         sim.run_stepwise(&program, &mut NullObserver)
@@ -213,23 +305,25 @@ fn measure_row(
         sim.run_functional_verified(&decoded, token)
             .expect("traced engine executes");
         traced_s = traced_s.min(t.elapsed().as_secs_f64());
+        let t = Instant::now();
+        sim.run_decoded(&decoded).expect("timed run executes");
+        timed_s = timed_s.min(t.elapsed().as_secs_f64());
     }
-    let legacy_ns = legacy_s * 1e9;
-    let decoded_ns = decoded_s * 1e9;
-    let traced_ns = traced_s * 1e9;
 
     Row {
         label,
         sew_bits: precision.bits(),
-        lmul,
-        dims: caps_dims,
+        lmul: layout.lmul,
+        dims,
         instructions,
         decode_ms,
         trace_compile_ms,
         analyze_ms,
-        legacy_ns,
-        decoded_ns,
-        traced_ns,
+        legacy_ns: legacy_s * 1e9,
+        decoded_ns: decoded_s * 1e9,
+        traced_ns: traced_s * 1e9,
+        timed_ns: timed_s * 1e9,
+        oracle_fallback_slots: decoded.oracle_fallback_slots(),
         fused_runs: decoded.fused_runs(),
         fused_uops: decoded.fused_uops(),
         traces: decoded.trace_segments(),
@@ -299,8 +393,15 @@ fn main() {
     );
     let dims = profile.caps().apply(BERT_FFN);
     let iters = if dims == BERT_FFN { 5 } else { 10 };
+    // The ResNet50 pair runs at the campaign's eval caps (smoke caps
+    // under the smoke profile).
+    let cnn_caps = match profile {
+        Profile::Smoke => GemmCaps::smoke(),
+        _ => GemmCaps::default_eval(),
+    };
     println!(
-        "pinned shape {}x{}x{} (BERT-FFN{}), vindexmac.vvi kernel, functional runs x{iters}\n",
+        "pinned shape {}x{}x{} (BERT-FFN{}), vindexmac.vvi kernel; ResNet50 layer2.0.conv2 \
+         under {cnn_caps}, Row-Wise-SpMM and vindexmac.vx; runs x{iters}\n",
         dims.rows,
         dims.inner,
         dims.cols,
@@ -308,11 +409,16 @@ fn main() {
     );
 
     let rows = vec![
-        measure_row("bert-ffn-e8", Precision::I8, 2, dims, iters),
-        measure_row("bert-ffn-f32-m2", Precision::F32, 2, dims, iters),
+        measure_row(vvi_kernel("bert-ffn-e8", Precision::I8, 2, dims), iters),
+        measure_row(
+            vvi_kernel("bert-ffn-f32-m2", Precision::F32, 2, dims),
+            iters,
+        ),
+        measure_row(campaign_kernel("resnet50-rowwise", false, cnn_caps), iters),
+        measure_row(campaign_kernel("resnet50-vx", true, cnn_caps), iters),
     ];
     println!(
-        "{:<18} {:>4} {:>4} {:>12} {:>11} {:>11} {:>11} {:>8} {:>8} {:>8} {:>12}",
+        "{:<18} {:>4} {:>4} {:>12} {:>11} {:>11} {:>11} {:>11} {:>8} {:>8} {:>8} {:>12} {:>11} {:>6}",
         "row",
         "sew",
         "lmul",
@@ -320,14 +426,17 @@ fn main() {
         "legacy ms",
         "decoded ms",
         "traced ms",
+        "timed ms",
         "speedup",
         "trace",
         "coverage",
-        "traced Mi/s"
+        "traced Mi/s",
+        "timed Mi/s",
+        "oracle"
     );
     for r in &rows {
         println!(
-            "{:<18} {:>4} {:>4} {:>12} {:>11.2} {:>11.2} {:>11.2} {:>7.2}x {:>7.2}x {:>7.1}% {:>12.1}",
+            "{:<18} {:>4} {:>4} {:>12} {:>11.2} {:>11.2} {:>11.2} {:>11.2} {:>7.2}x {:>7.2}x {:>7.1}% {:>12.1} {:>11.1} {:>6}",
             r.label,
             format!("e{}", r.sew_bits),
             format!("m{}", r.lmul),
@@ -335,10 +444,13 @@ fn main() {
             r.legacy_ns / 1e6,
             r.decoded_ns / 1e6,
             r.traced_ns / 1e6,
+            r.timed_ns / 1e6,
             r.speedup(),
             r.trace_speedup(),
             r.trace_coverage() * 100.0,
             r.ips(r.traced_ns) / 1e6,
+            r.ips(r.timed_ns) / 1e6,
+            r.oracle_fallback_slots,
         );
     }
     for r in &rows {
@@ -371,6 +483,7 @@ fn main() {
          the stepwise loop (events never materialise under NullObserver, per-step re-decode \
          and re-validation are gone, vector ops run on whole register-group slices); the \
          trace-compiled path (analyzer-minted token, fused steady-state blocks executed as \
-         native batched lane loops) is faster again than the per-µop loop"
+         native batched lane loops) is faster again than the per-µop loop; the timed run \
+         pays for the timing model on top of the per-µop loop; no row falls back to the oracle"
     );
 }

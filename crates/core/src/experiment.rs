@@ -512,6 +512,10 @@ pub struct LintResult {
     pub lmul: usize,
     /// Static program length in instructions.
     pub static_instructions: usize,
+    /// Static slots the decoded engine runs on the `step()` oracle
+    /// because their opcode has no µop of its own (0 on every shipped
+    /// kernel).
+    pub oracle_fallback_slots: usize,
     /// Whether the analysis minted a `Verified` token (zero errors).
     pub verified: bool,
     /// Every finding, ordered by pc.
@@ -547,6 +551,7 @@ pub fn lint_gemm(
         precision: cfg.precision,
         lmul: layout.lmul,
         static_instructions: program.len(),
+        oracle_fallback_slots: decoded.oracle_fallback_slots(),
         verified: analysis.verified().is_some(),
         diagnostics: analysis.diagnostics().to_vec(),
     })

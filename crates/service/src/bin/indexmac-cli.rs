@@ -1362,7 +1362,9 @@ mod tests {
     #[test]
     fn lint_matrix_is_clean_and_full() {
         // The full shipped-configuration sweep (what CI runs) must lint
-        // with zero diagnostics, and every config must mint a token.
+        // with zero diagnostics, every config must mint a token, and no
+        // kernel may leave a slot on the decoded engine's oracle
+        // fallback.
         let dims = GemmDims {
             rows: 8,
             inner: 32,
@@ -1383,6 +1385,15 @@ mod tests {
                 r.diagnostics
             );
             assert!(r.verified);
+            assert_eq!(
+                r.oracle_fallback_slots,
+                0,
+                "{} {} lmul{} {}: slots on the oracle fallback",
+                algorithm_slug(r.algorithm),
+                precision_slug(r.precision),
+                r.lmul,
+                r.pattern,
+            );
         }
         // JSON shape sanity.
         let serde_json::Value::Object(fields) = lint_value(&results) else {

@@ -21,18 +21,24 @@
 //! * the per-SEW constants the vector µops need — lane masks, widening
 //!   factors, element sizes — live in the const [`SEW_INFO`] table,
 //!   indexed rather than recomputed;
-//! * the hot vector µops (unit-stride loads/stores, `vfmacc.vf`, both
-//!   IndexMAC generations) operate on whole register-group byte slices
-//!   (one borrow per instruction) and page-chunked memory transfers
-//!   instead of per-lane accessor calls.
+//! * the vector µops operate on whole register-group byte slices (one
+//!   borrow per instruction) and page-chunked memory transfers instead
+//!   of per-lane accessor calls: unit-stride loads/stores, `vfmacc.vf`,
+//!   both IndexMAC generations, and the slide/move ops through which
+//!   Row-Wise-SpMM and `vindexmac.vx` walk every non-zero
+//!   (`vslide1down.vx`, `vmv.x.s`, `vfmv.f.s`, `vmv.s.x`, `vadd.vx`).
 //!
 //! Execution is observed through the [`Observer`] trait. The engine is
 //! generic over it, and [`NullObserver`] advertises at compile time
 //! that events are unwanted, so the functional path monomorphizes to a
 //! loop that never builds an [`ExecEvent`] at all. The legacy `step()`
-//! interpreter is kept verbatim as the **oracle**: cold µops fall back
-//! to it, and `crates/vpu/tests/prop_engine.rs` differentially tests
-//! the two paths for identical architectural state, reports and faults.
+//! interpreter is kept verbatim as the **oracle**:
+//! `crates/vpu/tests/prop_engine.rs` differentially tests the two paths
+//! for identical architectural state, reports and faults. Opcodes no
+//! shipped kernel emits (`vadd.vv`, `vmul.vx`, `vslidedown.vi`, …) have
+//! no µop of their own and fall back to the oracle per instruction;
+//! [`DecodedProgram::oracle_fallback_slots`] counts them, and it is 0 on
+//! every shipped kernel.
 
 use crate::analyze::Verified;
 use crate::checks::{
@@ -138,9 +144,10 @@ const MAX_GROUP_BYTES: usize = 4 * 512;
 /// One predecoded micro-operation. Operands are unpacked, immediates
 /// pre-extended, branch targets absolute; the variant itself encodes
 /// the static properties (`group_aware`, e32-only) that the legacy
-/// interpreter re-derives per step. Cold opcodes decode to
-/// [`Uop::Step`], which defers to the oracle interpreter — bit-for-bit
-/// the legacy semantics, paid only on the cold path.
+/// interpreter re-derives per step. Every opcode a shipped kernel emits
+/// has its own variant; the rest decode to [`Uop::Step`], which defers
+/// to the oracle interpreter — bit-for-bit the legacy semantics, paid
+/// only by programs outside the kernels' instruction mix.
 #[derive(Debug, Clone, Copy)]
 enum Uop {
     // ---- scalar ----
@@ -278,6 +285,35 @@ enum Uop {
         vs2: VReg,
         vs1: VReg,
         slot: u8,
+    },
+    /// `vslide1down.vx` — how Row-Wise-SpMM and `vindexmac.vx` walk
+    /// the non-zeros of a loaded value/index register (m1-only).
+    Vslide1downVx {
+        vd: VReg,
+        vs2: VReg,
+        rs1: XReg,
+    },
+    /// `vadd.vx` (m1-only).
+    VaddVx {
+        vd: VReg,
+        vs2: VReg,
+        rs1: XReg,
+    },
+    /// `vmv.x.s` — element 0 to a scalar register (group-aware).
+    VmvXs {
+        rd: XReg,
+        vs2: VReg,
+    },
+    /// `vmv.s.x` — a scalar register into element 0 (group-aware).
+    VmvSx {
+        vd: VReg,
+        rs1: XReg,
+    },
+    /// `vfmv.f.s` — element 0 to an FP register (group-aware,
+    /// e32-only).
+    VfmvFs {
+        fd: FReg,
+        vs2: VReg,
     },
 
     // ---- cold tail ----
@@ -1007,6 +1043,11 @@ fn decode_one(pc: usize, instr: &Instruction) -> Uop {
         I::VfmaccVf { vd, fs1, vs2 } => Uop::VfmaccVf { vd, fs1, vs2 },
         I::VindexmacVx { vd, vs2, rs } => Uop::VindexmacVx { vd, vs2, rs },
         I::VindexmacVvi { vd, vs2, vs1, slot } => Uop::VindexmacVvi { vd, vs2, vs1, slot },
+        I::Vslide1downVx { vd, vs2, rs1 } => Uop::Vslide1downVx { vd, vs2, rs1 },
+        I::VaddVx { vd, vs2, rs1 } => Uop::VaddVx { vd, vs2, rs1 },
+        I::VmvXs { rd, vs2 } => Uop::VmvXs { rd, vs2 },
+        I::VmvSx { vd, rs1 } => Uop::VmvSx { vd, rs1 },
+        I::VfmvFs { fd, vs2 } => Uop::VfmvFs { fd, vs2 },
         _ => Uop::Step,
     }
 }
@@ -1127,6 +1168,13 @@ impl DecodedProgram {
     /// the hot kernels approaches 1).
     pub fn traced_uops(&self) -> usize {
         self.compiled().traces.iter().map(|t| t.len).sum()
+    }
+
+    /// Static slots whose opcode has no µop of its own and runs on the
+    /// `step()` oracle. Every shipped kernel decodes to 0; a nonzero
+    /// count marks a program that pays the oracle's per-lane cost.
+    pub fn oracle_fallback_slots(&self) -> usize {
+        self.uops.iter().filter(|u| matches!(u, Uop::Step)).count()
     }
 
     /// Static instruction count.
@@ -1458,6 +1506,60 @@ impl DecodedProgram {
                 let multiplier_bits = state.v_lane(vs2, slot, sew);
                 indexmac_body(state, pc, vd, src, multiplier_bits, sew)?;
                 indirect = Some(src);
+            }
+            Uop::Vslide1downVx { vd, vs2, rs1 } => {
+                let vl = state.vl();
+                check_grouping_supported(pc, vl, state.vlmax())?;
+                let info = SEW_INFO[sew_index(state.vtype().sew)];
+                let s = state.x(rs1) as u32 & info.lane_mask;
+                if vl > 0 {
+                    // Lanes 1..vl move down one; the scalar fills lane
+                    // vl-1. Single registers are equal or disjoint.
+                    let (eb, last) = (info.bytes, (vl - 1) * info.bytes);
+                    let dst = if vd == vs2 {
+                        let dst = state.v_bytes_mut(vd);
+                        dst.copy_within(eb..last + eb, 0);
+                        dst
+                    } else {
+                        let (dst, src) = state.v_group_pair_mut(vd, 1, vs2, 1);
+                        dst[..last].copy_from_slice(&src[eb..last + eb]);
+                        dst
+                    };
+                    dst[last..last + eb].copy_from_slice(&s.to_le_bytes()[..eb]);
+                }
+            }
+            Uop::VaddVx { vd, vs2, rs1 } => {
+                let vl = state.vl();
+                check_grouping_supported(pc, vl, state.vlmax())?;
+                let sew = state.vtype().sew;
+                let info = SEW_INFO[sew_index(sew)];
+                let s = state.x(rs1) as u32 & info.lane_mask;
+                let (eb, n) = (info.bytes, vl * info.bytes);
+                // Copy the source lanes over, then add in place.
+                if vd != vs2 {
+                    let (dst, src) = state.v_group_pair_mut(vd, 1, vs2, 1);
+                    dst[..n].copy_from_slice(&src[..n]);
+                }
+                let dst = state.v_bytes_mut(vd);
+                for o in (0..n).step_by(eb) {
+                    let v = lane_bits(dst, o, sew).wrapping_add(s);
+                    dst[o..o + eb].copy_from_slice(&v.to_le_bytes()[..eb]);
+                }
+            }
+            Uop::VmvXs { rd, vs2 } => {
+                let sew = state.vtype().sew;
+                let bits = lane_bits(state.v_bytes(vs2), 0, sew);
+                state.set_x(rd, sign_extend(bits, sew) as i64 as u64);
+            }
+            Uop::VmvSx { vd, rs1 } => {
+                let eb = SEW_INFO[sew_index(state.vtype().sew)].bytes;
+                let s = state.x(rs1) as u32;
+                state.v_bytes_mut(vd)[..eb].copy_from_slice(&s.to_le_bytes()[..eb]);
+            }
+            Uop::VfmvFs { fd, vs2 } => {
+                check_e32_only(pc, state.vtype().sew)?;
+                let bits = le32(state.v_bytes(vs2), 0);
+                state.set_f_bits(fd, bits);
             }
             Uop::Step => {
                 // Cold path: run the oracle interpreter for this one
@@ -2009,6 +2111,8 @@ pub(crate) mod tests {
                 s_oracle.x(XReg::new(r)),
                 "x{r} diverged"
             );
+            let f = FReg::new(r);
+            assert_eq!(s_engine.f_bits(f), s_oracle.f_bits(f), "f{r} diverged");
             let v = VReg::new(r);
             assert_eq!(s_engine.v_bytes(v), s_oracle.v_bytes(v), "v{r} diverged");
         }
@@ -2209,7 +2313,8 @@ pub(crate) mod tests {
 
     #[test]
     fn cold_uops_fall_back_to_the_oracle() {
-        // vadd.vv / slides / moves decode to Uop::Step and still execute.
+        // vmv.v.x / vadd.vv have no µop of their own: they decode to
+        // Uop::Step and still execute, interleaved with hot µops.
         let p = fixture(|b| {
             b.li(XReg::T0, 3);
             b.push(Instruction::VmvVx {
@@ -2233,8 +2338,139 @@ pub(crate) mod tests {
             b.halt();
         });
         let d = DecodedProgram::decode(&p);
+        assert!(matches!(d.uops[1], Uop::Step));
         assert!(matches!(d.uops[2], Uop::Step));
+        assert!(matches!(d.uops[3], Uop::Vslide1downVx { .. }));
+        assert_eq!(d.oracle_fallback_slots(), 2);
         assert_parity(&p, |_, _| {});
+    }
+
+    /// The slide/move µops at every SEW, with `vd` aliasing the source
+    /// and not, at full and at zero `vl`.
+    #[test]
+    fn slide_and_move_uops_match_the_oracle() {
+        for sew in [Sew::E8, Sew::E16, Sew::E32] {
+            for avl in [0i64, 5, 1 << 10] {
+                let p = fixture(|b| {
+                    b.li(XReg::A0, avl);
+                    b.li(XReg::T0, -3);
+                    b.push(Instruction::Vsetvli {
+                        rd: XReg::T1,
+                        rs1: XReg::A0,
+                        sew,
+                        lmul: Lmul::M1,
+                    });
+                    for (vd, vs2) in [(VReg::V2, VReg::V2), (VReg::V3, VReg::V4)] {
+                        b.push(Instruction::Vslide1downVx {
+                            vd,
+                            vs2,
+                            rs1: XReg::T0,
+                        });
+                        b.push(Instruction::VaddVx {
+                            vd,
+                            vs2,
+                            rs1: XReg::T0,
+                        });
+                    }
+                    b.push(Instruction::VmvXs {
+                        rd: XReg::T2,
+                        vs2: VReg::V3,
+                    });
+                    b.push(Instruction::VmvSx {
+                        vd: VReg::V5,
+                        rs1: XReg::T0,
+                    });
+                    if sew == Sew::E32 {
+                        b.push(Instruction::VfmvFs {
+                            fd: FReg::F1,
+                            vs2: VReg::V2,
+                        });
+                    }
+                    b.halt();
+                });
+                let d = DecodedProgram::decode(&p);
+                assert_eq!(d.oracle_fallback_slots(), 0);
+                assert_parity(&p, |s, _| {
+                    for r in 2..6u8 {
+                        for i in 0..s.lanes(Sew::E32) {
+                            let v = (r as u32 * 0x0111_0000) ^ (i as u32).wrapping_mul(0x9E37_79B9);
+                            s.set_v_lane(VReg::new(r), i, Sew::E32, v);
+                        }
+                    }
+                });
+            }
+        }
+    }
+
+    #[test]
+    fn slide_and_move_uops_fault_like_the_oracle() {
+        let grouped = |b: &mut ProgramBuilder| {
+            b.push(Instruction::Vsetvli {
+                rd: XReg::T0,
+                rs1: XReg::ZERO,
+                sew: Sew::E32,
+                lmul: Lmul::M2,
+            });
+        };
+        // Not group-aware: faults under m2.
+        for op in [
+            Instruction::Vslide1downVx {
+                vd: VReg::V2,
+                vs2: VReg::V4,
+                rs1: XReg::T0,
+            },
+            Instruction::VaddVx {
+                vd: VReg::V2,
+                vs2: VReg::V4,
+                rs1: XReg::T0,
+            },
+        ] {
+            assert_parity(
+                &fixture(|b| {
+                    grouped(b);
+                    b.push(op);
+                    b.halt();
+                }),
+                |_, _| {},
+            );
+        }
+        // Group-aware element-0 moves run under m2.
+        assert_parity(
+            &fixture(|b| {
+                grouped(b);
+                b.push(Instruction::VmvSx {
+                    vd: VReg::V2,
+                    rs1: XReg::T0,
+                });
+                b.push(Instruction::VmvXs {
+                    rd: XReg::T1,
+                    vs2: VReg::V2,
+                });
+                b.push(Instruction::VfmvFs {
+                    fd: FReg::F0,
+                    vs2: VReg::V2,
+                });
+                b.halt();
+            }),
+            |s, _| s.set_x(XReg::T0, 0xDEAD_BEEF),
+        );
+        // vfmv.f.s is e32-only.
+        assert_parity(
+            &fixture(|b| {
+                b.push(Instruction::Vsetvli {
+                    rd: XReg::T0,
+                    rs1: XReg::ZERO,
+                    sew: Sew::E16,
+                    lmul: Lmul::M1,
+                });
+                b.push(Instruction::VfmvFs {
+                    fd: FReg::F0,
+                    vs2: VReg::V2,
+                });
+                b.halt();
+            }),
+            |_, _| {},
+        );
     }
 
     #[test]

@@ -322,6 +322,8 @@ impl OutOfOrder {
                     let start = dispatch.max(ready);
                     self.rs.occupy(slot, start);
                     let resolve = m.exec_scalar(ev, class, start);
+                    // A `jal`'s link register is ready when it resolves.
+                    m.regs.define(ev, resolve);
                     if ev.branch_taken {
                         // The redirect restarts the front end after the
                         // branch resolves plus the refill penalty.
@@ -473,6 +475,35 @@ mod tests {
         assert!(
             next.issue_at > cfg().branch_taken_penalty,
             "post-redirect dispatch must pay the penalty"
+        );
+    }
+
+    #[test]
+    fn link_register_consumer_waits_for_the_jal() {
+        // The link register's previous definition is a cold load; the
+        // jal redefines it, so its consumer waits for the jal alone.
+        let mut t = ooo(cfg());
+        t.observe(&load_ev(XReg::RA, 0x9000));
+        let load_done = t.total_cycles();
+        let jal = ExecEvent {
+            instr: indexmac_isa::Instruction::Jal {
+                rd: XReg::RA,
+                offset: 1,
+            },
+            ..branch_ev(true)
+        };
+        let link = t.observe(&jal);
+        let consumer = t.observe(&alu_ev(XReg::T1, XReg::RA));
+        assert!(
+            consumer.start >= link.completion,
+            "consumer starts at {} before the jal resolves at {}",
+            consumer.start,
+            link.completion
+        );
+        assert!(
+            consumer.start < load_done,
+            "consumer waited for the stale load ({} >= {load_done})",
+            consumer.start
         );
     }
 

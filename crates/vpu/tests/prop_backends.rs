@@ -14,12 +14,147 @@
 //!   stalled cycle is a cycle of the run, counted once;
 //! * instret and [`indexmac_vpu::ClassCounts`] are backend-invariant;
 //! * `counts().total()` equals the number of events observed.
+//!
+//! It also holds the record-vs-live differential: the timed run
+//! ([`Simulator::run_decoded`]) records events and times them in
+//! batches, and must give the same [`indexmac_vpu::RunReport`] — or the
+//! same fault — as [`Simulator::run_stepwise_timed`], which times each
+//! event as it retires, on every backend. Its programs are loops that
+//! retire several batches, with faults and instruction limits placed
+//! on, just before and just after a batch boundary, or anywhere.
 
 mod common;
 
 use common::{instr_strategy, program_from};
-use indexmac_vpu::{DecodedProgram, ExecEvent, Observer, SimConfig, Simulator, Timing, TimingKind};
+use indexmac_isa::{Instruction, Program, ProgramBuilder, Sew, VReg, XReg};
+use indexmac_vpu::{
+    analyze, DecodedProgram, ExecEvent, Observer, SimConfig, Simulator, Timing, TimingKind,
+};
 use proptest::prelude::*;
+
+/// Events per batch of the timed run (the private `RECORD_BATCH` in
+/// `sim.rs`, whose own unit test pins the boundary cases on the
+/// constant itself). Faults and limits are drawn around its multiples.
+const BATCH: u64 = 1024;
+
+/// Loop counter of [`looped_program`]; the body never writes it.
+const CTR: XReg = XReg::T6;
+/// Streaming pointer of [`looped_program`], bumped once per iteration;
+/// the body only reads it.
+const PTR: XReg = XReg::T5;
+/// Holds an unaligned address for the faulting tail.
+const BAD: XReg = XReg::T4;
+
+/// How a [`looped_program`] ends.
+#[derive(Debug, Clone, Copy)]
+enum Tail {
+    Halt,
+    /// An element-misaligned vector load.
+    Unaligned,
+    /// A `vsetvli` to e64.
+    UnsupportedSew,
+    /// No `ebreak`: the fetch runs off the end.
+    FellOff,
+}
+
+/// A dynamic-instruction index: just before, on or just after the
+/// `k`-th batch boundary, or anywhere in the first few batches.
+fn dyn_index() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        (1u64..5, 0u64..3).prop_map(|(k, off)| k * BATCH + off - 1),
+        2 * BATCH / 3..5 * BATCH,
+    ]
+}
+
+/// Body instructions: the valid straight-line mix plus vector and
+/// scalar accesses through [`PTR`], with writes to the loop registers
+/// turned into `nop`s.
+fn body_instr() -> impl Strategy<Value = Instruction> {
+    let vreg = (0u8..32).prop_map(VReg::new);
+    let access = prop_oneof![
+        vreg.clone()
+            .prop_map(|vd| Instruction::Vle32 { vd, rs1: PTR }),
+        vreg.prop_map(|vs3| Instruction::Vse32 { vs3, rs1: PTR }),
+        (1u8..29, 0i32..16).prop_map(|(rd, k)| Instruction::Lw {
+            rd: XReg::new(rd),
+            rs1: PTR,
+            imm: k * 4,
+        }),
+        (0u8..29, 0i32..16).prop_map(|(rs2, k)| Instruction::Sw {
+            rs2: XReg::new(rs2),
+            rs1: PTR,
+            imm: k * 4,
+        }),
+    ];
+    prop_oneof![
+        instr_strategy().prop_map(|i| match i.x_dst() {
+            Some(rd) if [CTR, PTR, BAD].contains(&rd) => Instruction::Nop,
+            _ => i,
+        }),
+        access,
+    ]
+}
+
+/// A counted loop around a random body, padded with `nop`s so that its
+/// tail — a fault, a missing `ebreak` or the halt — is dynamic
+/// instruction number `tail_at` (or the first one past it that the
+/// loop shape allows, for bodies longer than `tail_at`).
+fn looped_program(body: &[Instruction], tail_at: u64, tail: Tail) -> Program {
+    // Prologue: the three `li`s; per iteration: body + bump + addi + bne.
+    const PROLOGUE: u64 = 3;
+    let per_iter = body.len() as u64 + 3;
+    let span = tail_at.saturating_sub(PROLOGUE).max(per_iter);
+    let (iters, pad) = (span / per_iter, span % per_iter);
+    let mut b = ProgramBuilder::new();
+    b.li(CTR, iters as i64);
+    b.li(PTR, 0x1_0000);
+    b.li(BAD, 0x2002);
+    for _ in 0..pad {
+        b.push(Instruction::Nop);
+    }
+    let top = b.bind_label();
+    for &i in body {
+        b.push(i);
+    }
+    b.addi(PTR, PTR, 64);
+    b.addi(CTR, CTR, -1);
+    b.bne(CTR, XReg::ZERO, top);
+    match tail {
+        Tail::Halt => {
+            b.halt();
+        }
+        Tail::Unaligned => {
+            b.push(Instruction::Vle32 {
+                vd: VReg::V1,
+                rs1: BAD,
+            });
+            b.halt();
+        }
+        Tail::UnsupportedSew => {
+            b.push(Instruction::Vsetvli {
+                rd: XReg::T0,
+                rs1: XReg::ZERO,
+                sew: Sew::E64,
+                lmul: indexmac_isa::Lmul::M1,
+            });
+            b.halt();
+        }
+        Tail::FellOff => {}
+    }
+    b.build()
+}
+
+/// Half the programs halt, so that half the cases compare full reports.
+fn tail() -> impl Strategy<Value = Tail> {
+    prop_oneof![
+        Just(Tail::Halt),
+        Just(Tail::Halt),
+        Just(Tail::Halt),
+        Just(Tail::Unaligned),
+        Just(Tail::UnsupportedSew),
+        Just(Tail::FellOff),
+    ]
+}
 
 /// An [`Observer`] that checks the per-event invariants as the stream
 /// flows through, then exposes the finished model.
@@ -136,6 +271,46 @@ proptest! {
                 "{}: memory traffic differs",
                 kind
             );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Record, then time, against live timing: the batched timed run
+    /// and the stepwise run that times each event as it retires agree
+    /// on the outcome — the full report, or the fault and where it
+    /// struck — and on the architectural state, on every backend,
+    /// with and without an instruction limit.
+    #[test]
+    fn batched_timing_matches_live_timing(
+        body in prop::collection::vec(body_instr(), 1..24),
+        tail_at in dyn_index(),
+        tail in tail(),
+        limit in prop_oneof![Just(u64::MAX), dyn_index()],
+    ) {
+        let program = looped_program(&body, tail_at, tail);
+        let decoded = DecodedProgram::decode(&program);
+        let token = analyze(&decoded, SimConfig::table_i().vlen_bits).verified();
+        for kind in TimingKind::ALL {
+            let cfg = SimConfig::table_i().with_timing(kind);
+            let sim = || {
+                let mut s = Simulator::new(cfg);
+                s.set_max_instructions(limit);
+                s
+            };
+            let mut live = sim();
+            let want = live.run_stepwise_timed(&program);
+            let mut batched = sim();
+            let got = batched.run_decoded(&decoded);
+            prop_assert_eq!(&got, &want, "{}: batched vs live", kind);
+            prop_assert_eq!(batched.state(), live.state(), "{}: state", kind);
+            if let Some(token) = token {
+                let mut verified = sim();
+                let got = verified.run_decoded_verified(&decoded, token);
+                prop_assert_eq!(&got, &want, "{}: verified batched vs live", kind);
+            }
         }
     }
 }

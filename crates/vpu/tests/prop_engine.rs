@@ -2,9 +2,11 @@
 //! `step()` oracle.
 //!
 //! Random programs — every SEW and LMUL, loads/stores of every width,
-//! branches and loops, both IndexMAC generations, plus the cold ops
-//! that fall back to the oracle µop — are executed through
-//! [`DecodedProgram`] and through the legacy interpret-per-step loop.
+//! branches and loops, both IndexMAC generations, the slide/move µops
+//! the Row-Wise-SpMM and `vindexmac.vx` kernels walk their non-zeros
+//! with, plus the opcodes without a µop of their own that fall back to
+//! the oracle — are executed through [`DecodedProgram`] and through the
+//! legacy interpret-per-step loop.
 //! Both paths must produce identical architectural state (scalar, FP
 //! and vector files, `vl`/`vtype`, the PC), identical [`RunReport`]s,
 //! and identical faults, including the instruction-limit boundary.
@@ -142,29 +144,39 @@ fn vector_instr() -> BoxedStrategy<Instruction> {
         (vreg(), vreg(), treg()).prop_map(|(vd, vs2, rs)| Instruction::VindexmacVx { vd, vs2, rs }),
         (vreg(), vreg(), vreg(), 0u8..20)
             .prop_map(|(vd, vs2, vs1, slot)| { Instruction::VindexmacVvi { vd, vs2, vs1, slot } }),
+        (vreg(), freg(), vreg()).prop_map(|(vd, fs1, vs2)| Instruction::VfmaccVf { vd, fs1, vs2 }),
     ]
     .boxed()
 }
 
-/// Instructions whose µop is the oracle fallback — the cold tail must
-/// interleave with the hot µops without divergence.
-fn cold_instr() -> BoxedStrategy<Instruction> {
+/// The slide/move µops: not group-aware (`vslide1down.vx`,
+/// `vadd.vx`), group-aware element-0 moves, and the e32-only
+/// `vfmv.f.s`, at every SEW and LMUL so each fault rule fires.
+fn move_instr() -> BoxedStrategy<Instruction> {
     prop_oneof![
-        (vreg(), vreg(), vreg()).prop_map(|(vd, vs2, vs1)| Instruction::VaddVv { vd, vs2, vs1 }),
-        (vreg(), vreg(), treg()).prop_map(|(vd, vs2, rs1)| Instruction::VmulVx { vd, vs2, rs1 }),
-        (vreg(), treg(), vreg()).prop_map(|(vd, rs1, vs2)| Instruction::VmaccVx { vd, rs1, vs2 }),
-        (vreg(), vreg(), vreg()).prop_map(|(vd, vs2, vs1)| Instruction::VfaddVv { vd, vs2, vs1 }),
-        (vreg(), freg(), vreg()).prop_map(|(vd, fs1, vs2)| Instruction::VfmaccVf { vd, fs1, vs2 }),
-        (vreg(), vreg()).prop_map(|(vd, vs1)| Instruction::VmvVv { vd, vs1 }),
-        (vreg(), treg()).prop_map(|(vd, rs1)| Instruction::VmvVx { vd, rs1 }),
-        (treg(), vreg()).prop_map(|(rd, vs2)| Instruction::VmvXs { rd, vs2 }),
-        (vreg(), treg()).prop_map(|(vd, rs1)| Instruction::VmvSx { vd, rs1 }),
-        (freg(), vreg()).prop_map(|(fd, vs2)| Instruction::VfmvFs { fd, vs2 }),
         (vreg(), vreg(), treg()).prop_map(|(vd, vs2, rs1)| Instruction::Vslide1downVx {
             vd,
             vs2,
             rs1
         }),
+        (vreg(), vreg(), treg()).prop_map(|(vd, vs2, rs1)| Instruction::VaddVx { vd, vs2, rs1 }),
+        (treg(), vreg()).prop_map(|(rd, vs2)| Instruction::VmvXs { rd, vs2 }),
+        (vreg(), treg()).prop_map(|(vd, rs1)| Instruction::VmvSx { vd, rs1 }),
+        (freg(), vreg()).prop_map(|(fd, vs2)| Instruction::VfmvFs { fd, vs2 }),
+    ]
+    .boxed()
+}
+
+/// Instructions without a µop of their own, run by the oracle
+/// fallback — they must interleave with the µops without divergence.
+fn oracle_instr() -> BoxedStrategy<Instruction> {
+    prop_oneof![
+        (vreg(), vreg(), vreg()).prop_map(|(vd, vs2, vs1)| Instruction::VaddVv { vd, vs2, vs1 }),
+        (vreg(), vreg(), treg()).prop_map(|(vd, vs2, rs1)| Instruction::VmulVx { vd, vs2, rs1 }),
+        (vreg(), treg(), vreg()).prop_map(|(vd, rs1, vs2)| Instruction::VmaccVx { vd, rs1, vs2 }),
+        (vreg(), vreg(), vreg()).prop_map(|(vd, vs2, vs1)| Instruction::VfaddVv { vd, vs2, vs1 }),
+        (vreg(), vreg()).prop_map(|(vd, vs1)| Instruction::VmvVv { vd, vs1 }),
+        (vreg(), treg()).prop_map(|(vd, rs1)| Instruction::VmvVx { vd, rs1 }),
         (vreg(), vreg(), 0u8..8).prop_map(|(vd, vs2, imm)| Instruction::VslidedownVi {
             vd,
             vs2,
@@ -180,7 +192,8 @@ fn any_instr() -> BoxedStrategy<Instruction> {
         memory_instr(),
         control_instr(),
         vector_instr(),
-        cold_instr(),
+        move_instr(),
+        oracle_instr(),
     ]
     .boxed()
 }
@@ -216,7 +229,7 @@ fn program() -> impl Strategy<Value = Program> {
 
 /// The leaner random mix the traced-path property draws from: the
 /// hostile [`program`] mix without e64 `vsetvli`s, FP loads, `jal` or
-/// most cold ops, so a good share of programs analyze clean.
+/// most oracle-fallback ops, so a good share of programs analyze clean.
 fn lean_program() -> impl Strategy<Value = Program> {
     let instr = prop_oneof![
         (treg(), -1000i64..1000).prop_map(|(rd, imm)| Instruction::Li { rd, imm }),
