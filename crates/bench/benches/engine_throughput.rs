@@ -10,11 +10,11 @@
 //!   fault-free against the layout contract and mints a [`Verified`]
 //!   token; the fused steady-state blocks then run as native batched
 //!   lane loops), plus the **timed** run (`run_decoded` under the
-//!   `Timing` model, which records events and times them in batches) —
-//!   the path `gemm`, `model`, `sweep` and `serve` take. The rows are
-//!   the pinned BERT-FFN `vindexmac.vvi` kernel (`3072x768x128`, the
-//!   heaviest transformer shape; the e8 quantized row and the f32 `m2`
-//!   row of the transformer campaign) and the f32 Row-Wise-SpMM /
+//!   `Timing` model, which times each event as it retires) — the path
+//!   `gemm`, `model`, `sweep` and `serve` take. The rows are the pinned
+//!   BERT-FFN `vindexmac.vvi` kernel (`3072x768x128`, the heaviest
+//!   transformer shape; the e8 quantized row and the f32 `m2` row of
+//!   the transformer campaign) and the f32 Row-Wise-SpMM /
 //!   `vindexmac.vx` pair of the ResNet50 Fig. 4a campaign on
 //!   `layer2.0.conv2` at the campaign's eval caps. The acceptance bar:
 //!   a ≥2× wall-clock win for the decoded engine over the stepwise loop

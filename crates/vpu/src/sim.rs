@@ -2,7 +2,7 @@
 
 use crate::config::SimConfig;
 use crate::engine::{DecodedProgram, NullObserver, Observer};
-use crate::exec::{step, ExecError, ExecEvent};
+use crate::exec::{step, ExecError};
 use crate::report::RunReport;
 use crate::state::ArchState;
 use crate::timing::Timing;
@@ -14,38 +14,6 @@ use std::fmt;
 
 /// Default cap on dynamic instructions (runaway-program guard).
 pub const DEFAULT_MAX_INSTRUCTIONS: u64 = 2_000_000_000;
-
-/// Events a timed run records before handing them to [`Timing`] as one
-/// batch (a 64 KiB buffer of [`ExecEvent`]s).
-const RECORD_BATCH: usize = 1024;
-
-/// The timed run's observer — record, then time: each event is
-/// appended to a buffer that is reused for every batch, and the buffer
-/// is handed to the timing model whenever it fills and once at the end
-/// of the run. Timing sees the same events in the same order as a live
-/// observer, so the report is bit-identical to one timed event by
-/// event.
-struct Recorder {
-    timing: Timing,
-    events: Vec<ExecEvent>,
-}
-
-impl Recorder {
-    fn flush(&mut self) {
-        self.timing.observe_batch(&self.events);
-        self.events.clear();
-    }
-}
-
-impl Observer for Recorder {
-    #[inline]
-    fn observe(&mut self, ev: &ExecEvent) {
-        self.events.push(*ev);
-        if self.events.len() == RECORD_BATCH {
-            self.flush();
-        }
-    }
-}
 
 /// Simulation errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -191,28 +159,9 @@ impl Simulator {
     ///
     /// Same conditions as [`Simulator::run`].
     pub fn run_decoded(&mut self, program: &DecodedProgram) -> Result<RunReport, SimError> {
-        self.run_recorded(program, None)
-    }
-
-    /// The timed run behind [`Simulator::run_decoded`] and
-    /// [`Simulator::run_decoded_verified`]: executes under a
-    /// [`Recorder`] and times the events in batches.
-    fn run_recorded(
-        &mut self,
-        program: &DecodedProgram,
-        token: Option<crate::analyze::Verified>,
-    ) -> Result<RunReport, SimError> {
-        let mut rec = Recorder {
-            timing: Timing::new(self.cfg),
-            events: Vec::with_capacity(RECORD_BATCH),
-        };
-        let (state, mem, limit) = (&mut self.state, &mut self.mem, self.max_instructions);
-        let instructions = match token {
-            Some(token) => program.execute_verified(state, mem, &mut rec, limit, token),
-            None => program.execute(state, mem, &mut rec, limit),
-        }?;
-        rec.flush();
-        Ok(rec.timing.report(instructions))
+        let mut timing = Timing::new(self.cfg);
+        let instructions = self.run_decoded_with(program, &mut timing)?;
+        Ok(timing.report(instructions))
     }
 
     /// Runs `program` with timing, recording the first `trace_cap`
@@ -272,7 +221,7 @@ impl Simulator {
     }
 
     /// [`Simulator::run_decoded`] holding a [`crate::analyze::Verified`]
-    /// token. The timing model wants per-µop events, so the token is
+    /// token. The timing observer wants per-µop events, so the token is
     /// inert here and the run is the checked µop loop; the method keeps
     /// one signature for callers that hold a token either way.
     ///
@@ -284,7 +233,15 @@ impl Simulator {
         program: &DecodedProgram,
         token: crate::analyze::Verified,
     ) -> Result<RunReport, SimError> {
-        self.run_recorded(program, Some(token))
+        let mut timing = Timing::new(self.cfg);
+        let instructions = program.execute_verified(
+            &mut self.state,
+            &mut self.mem,
+            &mut timing,
+            self.max_instructions,
+            token,
+        )?;
+        Ok(timing.report(instructions))
     }
 
     /// [`Simulator::run_functional_decoded`] through the trace-compiled
@@ -344,9 +301,7 @@ impl Simulator {
 
     /// [`Simulator::run_stepwise`] with full timing, producing the same
     /// [`RunReport`] shape as [`Simulator::run`] (bit-identical by the
-    /// differential suite). Each event is timed as it retires, so this
-    /// is also the live reference the batched timed run is tested
-    /// against.
+    /// differential suite).
     ///
     /// # Errors
     ///
@@ -485,66 +440,6 @@ mod tests {
             oracle.state().x(XReg::T0),
             "architectural state must agree"
         );
-    }
-
-    #[test]
-    fn batch_boundaries_time_like_the_live_run() {
-        // Record, then time, against timing each event as it retires:
-        // instruction limits and faults just before, on and just after
-        // each batch boundary, on every backend.
-        let batch = RECORD_BATCH as u64;
-        let mut b = ProgramBuilder::new();
-        b.li(XReg::T0, batch as i64);
-        b.li(XReg::A0, 0x1000);
-        let top = b.bind_label();
-        b.push(Instruction::Lw {
-            rd: XReg::T1,
-            rs1: XReg::A0,
-            imm: 0,
-        });
-        b.addi(XReg::A0, XReg::A0, 64);
-        b.addi(XReg::T0, XReg::T0, -1);
-        b.bne(XReg::T0, XReg::ZERO, top);
-        b.halt();
-        let looped = b.build();
-        // A fault (e64 vsetvli) as dynamic instruction `at`.
-        let faulting = |at: u64| {
-            let mut b = ProgramBuilder::new();
-            for _ in 0..at {
-                b.push(Instruction::Nop);
-            }
-            b.push(Instruction::Vsetvli {
-                rd: XReg::T0,
-                rs1: XReg::ZERO,
-                sew: Sew::E64,
-                lmul: Lmul::M1,
-            });
-            b.halt();
-            b.build()
-        };
-        for kind in crate::config::TimingKind::ALL {
-            let cfg = SimConfig::table_i().with_timing(kind);
-            let both = |p: &Program, limit: u64| {
-                let mut live = Simulator::new(cfg);
-                live.set_max_instructions(limit);
-                let mut batched = Simulator::new(cfg);
-                batched.set_max_instructions(limit);
-                (batched.run(p), live.run_stepwise_timed(p))
-            };
-            let (got, want) = both(&looped, u64::MAX);
-            assert_eq!(got, want, "{kind}: full run");
-            assert_eq!(got.unwrap().instructions, 4 * batch + 3);
-            for k in 1..=4 {
-                for at in [k * batch - 1, k * batch, k * batch + 1] {
-                    let (got, want) = both(&looped, at);
-                    assert_eq!(got, want, "{kind}: limit {at}");
-                    assert_eq!(got, Err(SimError::InstructionLimit { limit: at }));
-                    let (got, want) = both(&faulting(at), u64::MAX);
-                    assert_eq!(got, want, "{kind}: fault at {at}");
-                    assert!(matches!(got, Err(SimError::Exec(_))), "{kind}: {got:?}");
-                }
-            }
-        }
     }
 
     #[test]

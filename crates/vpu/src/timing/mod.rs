@@ -286,30 +286,6 @@ impl Timing {
         }
     }
 
-    /// Accounts a batch of dynamic instructions in program order: the
-    /// same accounting as calling [`Timing::observe`] on each, with the
-    /// scalar-core dispatch hoisted out of the loop. The timed run
-    /// hands its recorded events over through this.
-    pub(crate) fn observe_batch(&mut self, evs: &[ExecEvent]) {
-        fn each(
-            m: &mut Shared,
-            evs: &[ExecEvent],
-            mut observe: impl FnMut(&mut Shared, &ExecEvent, InstrClass) -> InstrTiming,
-        ) {
-            for ev in evs {
-                let class = ev.instr.class();
-                m.counts.bump(class);
-                observe(m, ev, class);
-            }
-        }
-        let m = &mut self.shared;
-        match &mut self.core {
-            Core::InOrder(c) => each(m, evs, |m, ev, class| c.observe(m, ev, class)),
-            Core::Pipelined(c) => each(m, evs, |m, ev, class| c.observe(m, ev, class)),
-            Core::OutOfOrder(c) => each(m, evs, |m, ev, class| c.observe(m, ev, class)),
-        }
-    }
-
     /// Which scalar core is active.
     pub fn kind(&self) -> TimingKind {
         match self.core {

@@ -15,13 +15,13 @@
 //! * instret and [`indexmac_vpu::ClassCounts`] are backend-invariant;
 //! * `counts().total()` equals the number of events observed.
 //!
-//! It also holds the record-vs-live differential: the timed run
-//! ([`Simulator::run_decoded`]) records events and times them in
-//! batches, and must give the same [`indexmac_vpu::RunReport`] — or the
-//! same fault — as [`Simulator::run_stepwise_timed`], which times each
-//! event as it retires, on every backend. Its programs are loops that
-//! retire several batches, with faults and instruction limits placed
-//! on, just before and just after a batch boundary, or anywhere.
+//! It also holds a timed-run differential: the decoded timed run
+//! ([`Simulator::run_decoded`], and `run_decoded_verified` where the
+//! analyzer mints a token) must give the same
+//! [`indexmac_vpu::RunReport`] — or the same fault — as
+//! [`Simulator::run_stepwise_timed`] on the `step()` oracle, on every
+//! backend. Its programs are counted loops thousands of instructions
+//! long, with faults and instruction limits placed anywhere in them.
 
 mod common;
 
@@ -31,11 +31,6 @@ use indexmac_vpu::{
     analyze, DecodedProgram, ExecEvent, Observer, SimConfig, Simulator, Timing, TimingKind,
 };
 use proptest::prelude::*;
-
-/// Events per batch of the timed run (the private `RECORD_BATCH` in
-/// `sim.rs`, whose own unit test pins the boundary cases on the
-/// constant itself). Faults and limits are drawn around its multiples.
-const BATCH: u64 = 1024;
 
 /// Loop counter of [`looped_program`]; the body never writes it.
 const CTR: XReg = XReg::T6;
@@ -57,13 +52,10 @@ enum Tail {
     FellOff,
 }
 
-/// A dynamic-instruction index: just before, on or just after the
-/// `k`-th batch boundary, or anywhere in the first few batches.
+/// A dynamic-instruction index: early in the run or deep into the
+/// loop.
 fn dyn_index() -> impl Strategy<Value = u64> {
-    prop_oneof![
-        (1u64..5, 0u64..3).prop_map(|(k, off)| k * BATCH + off - 1),
-        2 * BATCH / 3..5 * BATCH,
-    ]
+    prop_oneof![1u64..64, 64u64..5000]
 }
 
 /// Body instructions: the valid straight-line mix plus vector and
@@ -278,13 +270,12 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Record, then time, against live timing: the batched timed run
-    /// and the stepwise run that times each event as it retires agree
-    /// on the outcome — the full report, or the fault and where it
-    /// struck — and on the architectural state, on every backend,
-    /// with and without an instruction limit.
+    /// The decoded timed run and the stepwise timed run agree on the
+    /// outcome — the full report, or the fault and where it struck —
+    /// and on the architectural state, on every backend, with and
+    /// without an instruction limit.
     #[test]
-    fn batched_timing_matches_live_timing(
+    fn decoded_timing_matches_stepwise_timing(
         body in prop::collection::vec(body_instr(), 1..24),
         tail_at in dyn_index(),
         tail in tail(),
@@ -300,16 +291,16 @@ proptest! {
                 s.set_max_instructions(limit);
                 s
             };
-            let mut live = sim();
-            let want = live.run_stepwise_timed(&program);
-            let mut batched = sim();
-            let got = batched.run_decoded(&decoded);
-            prop_assert_eq!(&got, &want, "{}: batched vs live", kind);
-            prop_assert_eq!(batched.state(), live.state(), "{}: state", kind);
+            let mut stepwise = sim();
+            let want = stepwise.run_stepwise_timed(&program);
+            let mut decoded_run = sim();
+            let got = decoded_run.run_decoded(&decoded);
+            prop_assert_eq!(&got, &want, "{}: decoded vs stepwise", kind);
+            prop_assert_eq!(decoded_run.state(), stepwise.state(), "{}: state", kind);
             if let Some(token) = token {
                 let mut verified = sim();
                 let got = verified.run_decoded_verified(&decoded, token);
-                prop_assert_eq!(&got, &want, "{}: verified batched vs live", kind);
+                prop_assert_eq!(&got, &want, "{}: verified vs stepwise", kind);
             }
         }
     }
